@@ -192,68 +192,25 @@ def build_liouvillian(spec: LmeSpec) -> SuperOp:
     return SuperOp(spec.n, lmat)
 
 
-def symbolic_ldl(hamiltonian, jumps, identity_op):
-    """Term-by-term symbolic expansion of the squared generator.
+def pauli_liouvillian(n: int, hamiltonian: PauliSum | None, jumps) -> PauliSum:
+    """The generator of ``build_liouvillian`` as a 2n-qubit Pauli sum.
 
-    Works on any operator family supporting +, -, scalar *, @,
-    ``dagger``/``transpose``/``conj`` and ``tensor`` (the numeric Pauli
-    sums here, or polynomial-weighted sums in the inverse solver).
-    ``hamiltonian`` must be Hermitian or None; ``jumps`` is a list of
-    (rate, operator) pairs whose rates multiply like scalars.
+    L = -i(H(x)I - I(x)H^T) + sum_i rate_i (F(x)F* - (F^dag F)(x)I/2
+    - I(x)(F^dag F)^T/2), built by Pauli algebra alone, so it needs no
+    dense matrix at any size.  ``hamiltonian`` may be None; ``jumps`` is
+    a list of (rate, operator) pairs.
     """
-    iden = identity_op
-    total = None
-
-    def acc(x):
-        nonlocal total
-        total = x if total is None else total + x
-
+    iden = PauliSum.identity(n)
+    total = PauliSum.zero(2 * n)
     if hamiltonian is not None:
-        h = hamiltonian
-        ht = h.transpose()
-        ad = h.tensor(iden) - iden.tensor(ht)
-        acc(ad @ ad)
-        for rate, f in jumps:
-            fd = f.dagger()
-            ft = f.transpose()
-            fc = f.conj()
-            fdf = fd @ f
-            ftfc = ft @ fc
-            cross = (
-                (h @ f).tensor(fc)
-                - (fd @ h).tensor(ft)
-                + fd.tensor(ft @ ht)
-                - f.tensor(ht @ fc)
-                + (fdf @ h - h @ fdf).tensor(iden) * 0.5
-                + iden.tensor(ht @ ftfc - ftfc @ ht) * 0.5
-            )
-            acc((cross * 1j) * rate)
-    for ra, fa in jumps:
-        fad = fa.dagger()
-        fat = fa.transpose()
-        fac = fa.conj()
-        fadfa = fad @ fa
-        fatfac = fat @ fac
-        for rb, fb in jumps:
-            fbd = fb.dagger()
-            fbt = fb.transpose()
-            fbc = fb.conj()
-            fbdfb = fbd @ fb
-            fbtfbc = fbt @ fbc
-            quad = (
-                (fad @ fb).tensor(fat @ fbc)
-                - fad.tensor(fat @ fbtfbc) * 0.5
-                - fb.tensor(fatfac @ fbc) * 0.5
-                - (fad @ fbd @ fb).tensor(fat) * 0.5
-                - (fadfa @ fb).tensor(fbc) * 0.5
-                + fadfa.tensor(fbtfbc) * 0.25
-                + fbdfb.tensor(fatfac) * 0.25
-                + iden.tensor(fatfac @ fbtfbc) * 0.25
-                + (fadfa @ fbdfb).tensor(iden) * 0.25
-            )
-            acc(quad * (ra * rb))
-    if total is None:
-        total = iden.tensor(iden) * 0.0
+        total = (hamiltonian.tensor(iden) - iden.tensor(hamiltonian.transpose())) * -1j
+    for rate, f in jumps:
+        fdf = f.dagger() @ f
+        total = total + (
+            f.tensor(f.conj())
+            - fdf.tensor(iden) * 0.5
+            - iden.tensor(fdf.transpose()) * 0.5
+        ) * rate
     return total
 
 
@@ -282,25 +239,24 @@ def exchange_symmetry_defect(doubled: PauliSum) -> float:
 
 
 def build_ldl(spec: LmeSpec) -> tuple[SuperOp, PauliSum]:
-    """Dense and symbolic forms of the squared generator.
+    """Dense and Pauli-sum forms of the squared generator.
 
-    The symbolic form is expanded term by term from (H, jumps) and then
-    cross-checked against the Pauli decomposition of the dense product
-    L^dag L; disagreement beyond 1e-10 means a construction bug and
-    raises.
+    The Pauli form is L_P^dag L_P with L_P from ``pauli_liouvillian``;
+    it is cross-checked against the Pauli decomposition of the dense
+    product L^dag L built by Kronecker products, and disagreement beyond
+    1e-10 means a construction bug and raises.
     """
     liouv = build_liouvillian(spec)
     dense = liouv.matrix.conj().T @ liouv.matrix
-    sym = symbolic_ldl(
-        spec.hamiltonian if spec.hamiltonian.terms else None,
-        [(ch.rate, ch.op) for ch in spec.jumps],
-        PauliSum.identity(spec.n),
+    lp = pauli_liouvillian(
+        spec.n, spec.hamiltonian, [(ch.rate, ch.op) for ch in spec.jumps]
     )
+    sym = lp.dagger() @ lp
     decomposed = pauli_decompose(dense)
     gap = sym.max_coeff_diff(decomposed)
     if gap > 1e-10:
         raise WorkbenchError(
-            f"symbolic and dense squared generators disagree by {gap:.3e}"
+            f"Pauli-sum and dense squared generators disagree by {gap:.3e}"
         )
     defect = exchange_symmetry_defect(sym)
     if defect > 1e-10:
@@ -319,12 +275,6 @@ def exchange_matrix(n: int) -> np.ndarray:
         for j in range(dim):
             s[i * dim + j, j * dim + i] = 1.0
     return s
-
-
-def apply_exchange_conj(vec: np.ndarray, n: int) -> np.ndarray:
-    """The antilinear map v -> S conj(v) without forming S."""
-    dim = 2 ** n
-    return np.conj(vec).reshape(dim, dim).T.reshape(-1)
 
 
 # -- steady states -------------------------------------------------------
@@ -488,7 +438,13 @@ def spectral_diagnostics(
     cond = float(np.linalg.cond(evecs))
     diagonalizable = bool(cond < DIAGONALIZABLE_COND_MAX)
     steady_dim = _null_space(liouv.matrix).shape[1]
-    mixing = _mixing_time_estimate(liouv, gap, diagonalizable, mixing_probes, seed)
+    # with several steady states a difference of two states need not
+    # contract, so there is no mixing time to estimate
+    mixing = (
+        _mixing_time_estimate(liouv, gap, diagonalizable, mixing_probes, seed)
+        if steady_dim == 1
+        else None
+    )
     return SpectralReport(
         eigenvalues=evals,
         gap=gap,
@@ -635,8 +591,10 @@ def verify_ldl_properties(
     evals = np.linalg.eigvalsh(mat)
     scale = max(float(evals[-1]), 1.0)
     ground_dim = int(np.sum(evals < 1e-9 * scale))
-    s = exchange_matrix(ldl.n)
-    st_norm = float(np.linalg.norm(mat @ s - s @ mat.conj()))
+    # ||M S - S M*||, with the exchange S applied as an index permutation
+    dim = 2 ** ldl.n
+    perm = np.arange(dim * dim).reshape(dim, dim).T.ravel()
+    st_norm = float(np.linalg.norm(mat[:, perm] - mat.conj()[perm, :]))
     steady_dim = None
     if liouvillian is not None:
         steady_dim = _null_space(liouvillian.matrix).shape[1]

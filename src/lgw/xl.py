@@ -2,8 +2,10 @@
 
 Given a structured generator ansatz (Hermitian terms with unknown real
 coefficients, jump channels with unknown non-negative rates), the
-squared generator is expanded symbolically; every Pauli coefficient is
-a degree-<=2 polynomial in the unknowns.  Coefficient matching against
+vectorized generator L_P is a 2n-qubit Pauli sum linear in the
+unknowns, so every Pauli coefficient of the squared generator
+L_P^dag L_P is a degree-<=2 polynomial in them, read off from numeric
+products of the per-unknown parts of L_P.  Coefficient matching against
 a target produces an over-defined multivariate quadratic system, made
 rate-safe by slack roots w_i with w_i^2 = lambda_i.  The system is
 solved by extension / linearization / sparse Gaussian elimination with
@@ -29,7 +31,7 @@ from .errors import (
     ValidationError,
     WorkbenchError,
 )
-from .lindblad import exchange_symmetry_defect, symbolic_ldl
+from .lindblad import exchange_symmetry_defect, pauli_liouvillian
 from .pauli import PauliString, PauliSum
 
 Monomial = tuple[int, ...]          # sorted variable indices, () = constant
@@ -46,149 +48,6 @@ EXACT_COLUMN_CAP = 200              # rational elimination stays small
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(sorted(a + b))
-
-
-class Poly:
-    """Sparse real-variable polynomial with complex coefficients."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms: dict[Monomial, complex] = {}
-        for mono, coeff in (terms or {}).items():
-            c = complex(coeff)
-            if abs(c) >= POLY_PRUNE_TOL:
-                self.terms[mono] = c
-
-    @classmethod
-    def constant(cls, value) -> "Poly":
-        return cls({(): value})
-
-    @classmethod
-    def variable(cls, index: int) -> "Poly":
-        return cls({(index,): 1.0})
-
-    def degree(self) -> int:
-        return max((len(m) for m in self.terms), default=0)
-
-    def __add__(self, other: "Poly") -> "Poly":
-        terms = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            terms[mono] = terms.get(mono, 0.0) + coeff
-        return Poly(terms)
-
-    def __neg__(self) -> "Poly":
-        return Poly({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
-
-    def __mul__(self, other) -> "Poly":
-        if isinstance(other, Poly):
-            terms: dict[Monomial, complex] = {}
-            for ma, ca in self.terms.items():
-                for mb, cb in other.terms.items():
-                    mono = mono_mul(ma, mb)
-                    terms[mono] = terms.get(mono, 0.0) + ca * cb
-            return Poly(terms)
-        return Poly({m: c * other for m, c in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def conjugate(self) -> "Poly":
-        return Poly({m: c.conjugate() for m, c in self.terms.items()})
-
-    def evaluate(self, values) -> complex:
-        total = 0.0 + 0.0j
-        for mono, coeff in self.terms.items():
-            term = coeff
-            for idx in mono:
-                term *= values[idx]
-            total += term
-        return total
-
-    def max_imag(self) -> float:
-        return max((abs(c.imag) for c in self.terms.values()), default=0.0)
-
-    def real_terms(self) -> dict[Monomial, float]:
-        return {m: c.real for m, c in self.terms.items()}
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __repr__(self) -> str:
-        return f"Poly({self.terms!r})"
-
-
-class ParamOp:
-    """Pauli-word operator whose coefficients are polynomials in the
-    unknowns; mirrors the numeric sum API used by ``symbolic_ldl``."""
-
-    __slots__ = ("n", "terms")
-
-    def __init__(self, n: int, terms=None):
-        self.n = n
-        self.terms: dict[PauliString, Poly] = {}
-        for word, poly in (terms or {}).items():
-            if word.n != n:
-                raise DimensionError("word width differs from operator width")
-            if poly:
-                self.terms[word] = poly
-
-    @classmethod
-    def identity(cls, n: int) -> "ParamOp":
-        return cls(n, {PauliString.identity(n): Poly.constant(1.0)})
-
-    @classmethod
-    def from_pauli_sum(cls, s: PauliSum, weight: Poly | None = None) -> "ParamOp":
-        w = weight if weight is not None else Poly.constant(1.0)
-        return cls(s.n, {word: w * coeff for word, coeff in s.terms.items()})
-
-    def __add__(self, other: "ParamOp") -> "ParamOp":
-        terms = dict(self.terms)
-        for word, poly in other.terms.items():
-            terms[word] = terms[word] + poly if word in terms else poly
-        return ParamOp(self.n, terms)
-
-    def __sub__(self, other: "ParamOp") -> "ParamOp":
-        return self + (other * (-1.0))
-
-    def __mul__(self, scalar) -> "ParamOp":
-        if not isinstance(scalar, Poly):
-            scalar = Poly.constant(scalar)
-        return ParamOp(self.n, {w: p * scalar for w, p in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other: "ParamOp") -> "ParamOp":
-        terms: dict[PauliString, Poly] = {}
-        for wa, pa in self.terms.items():
-            for wb, pb in other.terms.items():
-                phase, word = wa.mul(wb)
-                add = (pa * pb) * phase
-                terms[word] = terms[word] + add if word in terms else add
-        return ParamOp(self.n, terms)
-
-    def dagger(self) -> "ParamOp":
-        return ParamOp(self.n, {w: p.conjugate() for w, p in self.terms.items()})
-
-    def transpose(self) -> "ParamOp":
-        return ParamOp(
-            self.n, {w: p * w.transpose_sign for w, p in self.terms.items()}
-        )
-
-    def conj(self) -> "ParamOp":
-        return ParamOp(
-            self.n,
-            {w: p.conjugate() * w.transpose_sign for w, p in self.terms.items()},
-        )
-
-    def tensor(self, other: "ParamOp") -> "ParamOp":
-        terms: dict[PauliString, Poly] = {}
-        for wa, pa in self.terms.items():
-            for wb, pb in other.terms.items():
-                terms[wa.tensor(wb)] = pa * pb
-        return ParamOp(self.n + other.n, terms)
 
 
 # -- counting ------------------------------------------------------------------
@@ -357,12 +216,11 @@ class LiouvillianAnsatz:
         return ham, [(float(r), op) for r, op in zip(rates, self.jump_ops)]
 
     def forward_ldl(self, h_values, rates) -> PauliSum:
-        """Squared generator of a concrete parameter assignment,
-        expanded symbolically (no dense matrices, any size)."""
+        """Squared generator L_P^dag L_P of a concrete parameter
+        assignment, by Pauli algebra (no dense matrices, any size)."""
         ham, jumps = self.instantiate(h_values, rates)
-        return symbolic_ldl(
-            ham if ham.terms else None, jumps, PauliSum.identity(self.n)
-        )
+        lp = pauli_liouvillian(self.n, ham, jumps)
+        return lp.dagger() @ lp
 
     def split_assignment(self, assignment: dict) -> tuple[list[float], list[float]]:
         """(h values, rates) out of a name-keyed assignment, with rates
@@ -423,9 +281,10 @@ class QuadraticSystem:
 def build_mq_system(
     ansatz: LiouvillianAnsatz, target: PauliSum, include_ground_energy: bool = True
 ) -> QuadraticSystem:
-    """Match the symbolic squared generator against a target, word by word.
+    """Match the ansatz's squared generator L_P^dag L_P against a target,
+    word by word.
 
-    Every Pauli coefficient of the expansion is a degree-<=2 polynomial
+    Every Pauli coefficient of L_P^dag L_P is a degree-<=2 polynomial
     in the unknowns; each target word contributes one real equation.
     Rate non-negativity enters through slack equations w_i^2 = lambda_i.
     With ``include_ground_energy`` false the identity-word equation is
@@ -447,37 +306,44 @@ def build_mq_system(
             f"no generator squares to it"
         )
 
+    # L is linear in the unknowns, L = sum_j theta_j L_j, so the
+    # coefficient of theta_j theta_k in L^dag L is L_j^dag L_k + L_k^dag L_j
+    # (j < k) or L_j^dag L_j (j = k), word by word
     nh, nj = ansatz.num_h, ansatz.num_jumps
-    ham = ParamOp(ansatz.n)
-    for j, op in enumerate(ansatz.hamiltonian_ops):
-        ham = ham + ParamOp.from_pauli_sum(op, Poly.variable(j))
-    jumps = [
-        (Poly.variable(nh + i), ParamOp.from_pauli_sum(op))
-        for i, op in enumerate(ansatz.jump_ops)
-    ]
-    sym = symbolic_ldl(
-        ham if ham.terms else None, jumps, ParamOp.identity(ansatz.n)
+    parts = [pauli_liouvillian(ansatz.n, op, []) for op in ansatz.hamiltonian_ops]
+    parts += [pauli_liouvillian(ansatz.n, None, [(1.0, op)]) for op in ansatz.jump_ops]
+    daggers = [p.dagger() for p in parts]
+    polys: dict[PauliString, dict[Monomial, complex]] = {}
+    # Hamiltonian pairs, then mixed, then jump pairs: the order in which
+    # monomials enter an equation fixes the float summation order of
+    # ``QuadraticSystem.residuals`` and ``_substitute``
+    pairs = sorted(
+        itertools.combinations_with_replacement(range(len(parts)), 2),
+        key=lambda jk: (jk[0] >= nh) + (jk[1] >= nh),
     )
+    for j, k in pairs:
+        product = daggers[j] @ parts[k]
+        if j != k:
+            product = product + daggers[k] @ parts[j]
+        for word, coeff in product:
+            polys.setdefault(word, {})[(j, k)] = coeff
 
     equations: list[dict[Monomial, float]] = []
-    words = sorted(
-        set(sym.terms) | set(target.terms), key=lambda w: w.letters
-    )
+    words = sorted(set(polys) | set(target.terms), key=lambda w: w.letters)
     for word in words:
         if not include_ground_energy and word.is_identity():
             continue
-        poly = sym.terms.get(word)
-        eq: dict[Monomial, float] = {}
-        if poly is not None:
-            if poly.max_imag() > 1e-9:
-                raise WorkbenchError(
-                    f"expansion coefficient of {word.letters} has imaginary "
-                    f"part {poly.max_imag():.3e}"
-                )
-            eq.update(poly.real_terms())
+        poly = polys.get(word, {})
+        max_imag = max((abs(c.imag) for c in poly.values()), default=0.0)
+        if max_imag > 1e-9:
+            raise WorkbenchError(
+                f"expansion coefficient of {word.letters} has imaginary "
+                f"part {max_imag:.3e}"
+            )
+        eq = {m: c.real for m, c in poly.items()}
         tgt = target.terms.get(word, 0.0).real
-        if tgt or () in eq:
-            eq[()] = eq.get((), 0.0) - tgt
+        if tgt:
+            eq[()] = -tgt
         eq = {m: c for m, c in eq.items() if abs(c) >= POLY_PRUNE_TOL}
         if eq:
             equations.append(eq)

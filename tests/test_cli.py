@@ -1,6 +1,8 @@
 import json
 
+import numpy as np
 import pytest
+from conftest import rand_lme_spec
 
 from lgw import cli
 from lgw.lindblad import JumpChannel, LmeSpec, lme_to_json_dict
@@ -153,6 +155,21 @@ def test_steady_and_measure_commands(tmp_path):
     data = json.loads((tmp_path / "measure_report.json").read_text())
     assert abs(data["exact"] - 1.0) < 1e-10
     assert abs(data["estimate"]["value"] - 1.0) < 0.1
+
+
+def test_steady_with_degenerate_steady_space(tmp_path):
+    # a two-dimensional steady space: state differences need not contract,
+    # so no mixing time is estimated (and none is attempted)
+    spec = rand_lme_spec(3, np.random.default_rng(3), jumps=2)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(lme_to_json_dict(spec)))
+    assert cli.main(
+        ["steady", "--spec", str(path), "--seed", "0", "--probes", "3",
+         "--out", str(tmp_path)]
+    ) == cli.EXIT_OK
+    report = json.loads((tmp_path / "steady_report.json").read_text())
+    assert report["spectral"]["steady_dim"] == 2
+    assert report["spectral"]["mixing_time_estimate"] is None
 
 
 def test_measure_needs_unique_steady_state(tmp_path):

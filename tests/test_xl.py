@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -16,7 +17,6 @@ from lgw.pauli import PauliSum
 from lgw.xl import (
     LinearizedSystem,
     LiouvillianAnsatz,
-    Poly,
     QuadraticSystem,
     asymptotic_ratio,
     build_mq_system,
@@ -113,6 +113,43 @@ def test_forward_expansion_matches_dense_path():
     )
     _, sym = build_ldl(spec)
     assert target.max_coeff_diff(sym) < 1e-12
+
+
+def test_build_mq_full_local_family_forward():
+    # identity words and the complex +/- channels give cross terms between
+    # distinct unknowns that the XXZ family never produces
+    ansatz = LiouvillianAnsatz.full_local_family(2, 2)
+    rng = np.random.default_rng(22)
+    h = rng.uniform(-1, 1, ansatz.num_h)
+    lam = rng.uniform(0.2, 1, ansatz.num_jumps)
+    system = build_mq_system(ansatz, ansatz.forward_ldl(h, lam))
+    truth = np.concatenate([h, lam, np.sqrt(lam)])
+    assert np.abs(system.residuals(truth)).max() < 1e-12
+
+
+@pytest.mark.parametrize(
+    "ansatz, h, lam, digest",
+    [
+        (
+            LiouvillianAnsatz.xxz_chain(3),
+            [0.5, 0.25, 0.75, 1.0],
+            [0.5, 0.25, 1.0],
+            "73eed54e6dae3862d4aef51e37c28b391832b9ffc86a30190359803846d7ec2d",
+        ),
+        (
+            one_site_ansatz(),
+            [0.75],
+            [0.5],
+            "99e20c8f6914dece310c79420661f4b301082c4225e50b93818c268cd2ddfaea",
+        ),
+    ],
+    ids=["xxz3", "one_site"],
+)
+def test_build_mq_system_text_pinned(ansatz, h, lam, digest):
+    # dyadic parameters keep every coefficient exact, so the serialized
+    # system is fixed to the byte
+    text = system_to_text(build_mq_system(ansatz, ansatz.forward_ldl(h, lam)))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_build_mq_zero_target():
@@ -408,11 +445,3 @@ def test_exact_rational_elimination_mode():
         > EXACT_COLUMN_CAP
     with pytest.raises(CapacityError):
         xl_round(big_system, 2, exact=True)
-
-
-def test_poly_arithmetic():
-    x, y = Poly.variable(0), Poly.variable(1)
-    p = (x + y) * (x - y)
-    assert p.terms == {(0, 0): 1.0 + 0j, (1, 1): -1.0 + 0j}
-    assert p.evaluate([3.0, 2.0]) == 5.0
-    assert p.degree() == 2
