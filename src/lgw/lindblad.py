@@ -41,8 +41,8 @@ class JumpChannel:
     op: PauliSum
 
     def __post_init__(self):
-        if self.rate < 0:
-            raise ValidationError(f"jump rate {self.rate} is negative")
+        if not np.isfinite(self.rate) or self.rate < 0:
+            raise ValidationError(f"jump rate must be finite and >= 0, got {self.rate}")
 
 
 @dataclass(frozen=True)
@@ -589,8 +589,11 @@ def verify_ldl_properties(
     agreement between ground-space and steady-space dimensions."""
     mat = (ldl.matrix + ldl.matrix.conj().T) / 2
     evals = np.linalg.eigvalsh(mat)
-    scale = max(float(evals[-1]), 1.0)
-    ground_dim = int(np.sum(evals < 1e-9 * scale))
+    # the steady count's sigma <= NULL_SPACE_RTOL * sigma_max of L reads
+    # lambda <= NULL_SPACE_RTOL**2 * lambda_max here (lambda = sigma**2),
+    # floored at what eigvalsh resolves, about dim * eps * lambda_max
+    zero_tol = max(NULL_SPACE_RTOL ** 2, len(evals) * np.finfo(float).eps)
+    ground_dim = int(np.sum(evals <= zero_tol * max(float(evals[-1]), 0.0)))
     # ||M S - S M*||, with the exchange S applied as an index permutation
     dim = 2 ** ldl.n
     perm = np.arange(dim * dim).reshape(dim, dim).T.ravel()
@@ -620,6 +623,8 @@ def _sum_to_triples(s: PauliSum) -> list:
 
 def _sum_from_triples(triples, n: int | None = None) -> PauliSum:
     entries = [(complex(re, im), letters) for re, im, letters in triples]
+    if not all(np.isfinite(c) for c, _ in entries):
+        raise ValidationError("Pauli coefficients must be finite")
     if not entries:
         if n is None:
             raise ValidationError("empty term list needs an explicit qubit count")

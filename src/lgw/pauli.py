@@ -405,6 +405,8 @@ def parse_pauli_sum(text: str) -> PauliSum:
             coeff = complex(float(re_s), float(im_s))
         except ValueError as exc:
             raise ValidationError(f"line {lineno}: bad coefficient") from exc
+        if not np.isfinite(coeff):
+            raise ValidationError(f"line {lineno}: coefficient is not finite")
         for letter in letters:
             if letter not in LETTERS:
                 raise ValidationError(

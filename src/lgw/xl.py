@@ -42,7 +42,6 @@ INFEASIBLE_TOL = 1e-8               # 0 = c rows with |c| above this are fatal
 SUBST_PRUNE_TOL = 1e-6              # residual allowed when an equation closes
 ROOT_IMAG_TOL = 1e-8
 DEFAULT_NODE_BUDGET = 10_000
-DENSE_CELL_BUDGET = 30_000_000      # rows*cols above this falls back to dicts
 EXACT_COLUMN_CAP = 200              # rational elimination stays small
 
 
@@ -390,23 +389,6 @@ class LinearizedSystem:
             return 0.0
         return sum(len(r) for r in self.rows) / (rows * cols)
 
-    def to_matrix_market(self, basepath: str) -> None:
-        import scipy.io
-        import scipy.sparse
-
-        rows, cols = self.shape
-        data, ri, ci = [], [], []
-        for i, row in enumerate(self.rows):
-            for j, v in row.items():
-                ri.append(i)
-                ci.append(j)
-                data.append(v)
-        mat = scipy.sparse.coo_matrix((data, (ri, ci)), shape=(rows, max(cols, 1)))
-        scipy.io.mmwrite(f"{basepath}.mtx", mat)
-        scipy.io.mmwrite(
-            f"{basepath}_rhs.mtx", np.asarray(self.rhs, dtype=float).reshape(-1, 1)
-        )
-
 
 def extend_equations(
     equations: list[dict[Monomial, float]], nv: int, d: int
@@ -446,55 +428,9 @@ def linearize(
     return LinearizedSystem(cols, rows, rhs)
 
 
-def _eliminate_dense(lin: LinearizedSystem) -> LinearizedSystem:
-    rows, cols = lin.shape
-    aug = np.zeros((rows, cols + 1))
-    for i, row in enumerate(lin.rows):
-        for j, v in row.items():
-            aug[i, j] = v
-        aug[i, cols] = lin.rhs[i]
-
-    def clean(idx):
-        sub = aug[idx]
-        mx = np.abs(sub).max(axis=1, keepdims=True)
-        mx[mx == 0] = 1.0
-        sub[np.abs(sub) < PIVOT_RTOL * mx] = 0.0
-        aug[idx] = sub
-
-    clean(np.arange(rows))
-    r = 0
-    for c in range(cols):
-        if r >= rows:
-            break
-        col = aug[r:, c]
-        nz = np.nonzero(col)[0]
-        if nz.size == 0:
-            continue
-        imax = nz[np.argmax(np.abs(col[nz]))]
-        if imax != 0:
-            aug[[r, r + imax]] = aug[[r + imax, r]]
-        aug[r] /= aug[r, c]
-        hit = np.nonzero(aug[:, c])[0]
-        hit = hit[hit != r]
-        if hit.size:
-            aug[hit] -= np.outer(aug[hit, c], aug[r])
-            clean(hit)
-        r += 1
-
-    out_rows, out_rhs, inconsistent = [], [], False
-    for i in range(rows):
-        coeffs = {j: float(aug[i, j]) for j in np.nonzero(aug[i, :cols])[0]}
-        b = float(aug[i, cols])
-        if not coeffs:
-            if abs(b) > INFEASIBLE_TOL:
-                inconsistent = True
-            continue
-        out_rows.append(coeffs)
-        out_rhs.append(b)
-    return LinearizedSystem(lin.col_monomials, out_rows, out_rhs, inconsistent)
-
-
-def _eliminate_sparse(lin: LinearizedSystem) -> LinearizedSystem:
+def eliminate(lin: LinearizedSystem) -> LinearizedSystem:
+    """Sparse Gauss-Jordan reduction with column-ordered pivots: each
+    column pivots on its largest entry among the rows not yet pivoted."""
     rows = [dict(r) for r in lin.rows]
     rhs = list(lin.rhs)
     cols = len(lin.col_monomials)
@@ -561,8 +497,8 @@ def _eliminate_sparse(lin: LinearizedSystem) -> LinearizedSystem:
 
 
 def _eliminate_exact(lin: LinearizedSystem) -> LinearizedSystem:
-    """Rational-arithmetic elimination; guards small systems against
-    spurious pivots born from floating-point cancellation."""
+    """Rational-arithmetic elimination, the oracle ``eliminate`` is
+    tested against; small column spaces only."""
     from fractions import Fraction
 
     cols = len(lin.col_monomials)
@@ -610,15 +546,6 @@ def _eliminate_exact(lin: LinearizedSystem) -> LinearizedSystem:
     return LinearizedSystem(lin.col_monomials, out_rows, out_rhs, inconsistent)
 
 
-def eliminate(lin: LinearizedSystem, exact: bool = False) -> LinearizedSystem:
-    if exact:
-        return _eliminate_exact(lin)
-    rows, cols = lin.shape
-    if rows * max(cols, 1) <= DENSE_CELL_BUDGET:
-        return _eliminate_dense(lin)
-    return _eliminate_sparse(lin)
-
-
 def _extract_univariates(
     ech: LinearizedSystem,
 ) -> list[tuple[int, np.ndarray]]:
@@ -644,7 +571,7 @@ def _extract_univariates(
 
 
 def xl_round(
-    sys_or_equations, d: int, exact: bool = False
+    sys_or_equations, d: int
 ) -> tuple[LinearizedSystem, LinearizedSystem, list[tuple[int, np.ndarray]]]:
     """One extension + linearization + elimination pass.
 
@@ -661,7 +588,7 @@ def xl_round(
         raise ValidationError("extension degree must be at least 2")
     extended = extend_equations(equations, nv, d)
     lin = linearize(extended, nv, d)
-    ech = eliminate(lin, exact=exact)
+    ech = eliminate(lin)
     univariates = _extract_univariates(ech)
     if not univariates and not ech.inconsistent:
         raise NeedHigherD(f"no univariate rows at extension degree {d}")
@@ -789,7 +716,6 @@ def xl_solve(
     d_max: int = 4,
     node_budget: int = DEFAULT_NODE_BUDGET,
     residual_tol: float = 1e-8,
-    exact: bool = False,
 ) -> XlSolution:
     """Solve an over-defined quadratic system by repeated rounds of
     extension, elimination and univariate back-substitution.
@@ -865,7 +791,7 @@ def xl_solve(
             for d in range(2, d_max + 1):
                 try:
                     rounds += 1
-                    lin, ech, univs = xl_round((equations, nv), d, exact=exact)
+                    lin, ech, univs = xl_round((equations, nv), d)
                 except NeedHigherD:
                     continue
                 if first_density is None:

@@ -138,6 +138,33 @@ def test_verify_rejects_negative_rate(tmp_path):
         == cli.EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("command, field, value", [
+    ("steady", "rate", float("nan")),
+    ("verify", "rate", float("inf")),
+    ("steady", "hamiltonian", float("-inf")),
+    ("pipeline", "target", float("nan")),
+])
+def test_non_finite_inputs_are_validation_errors(
+    one_site_files, capsys, command, field, value
+):
+    tmp, target, ansatz, obs = one_site_files
+    if field == "target":
+        target.write_text(f"{value} 0.0 ZZ\n")
+        args = ["pipeline", "--target", str(target), "--ansatz", str(ansatz),
+                "--observable", str(obs)]
+    else:
+        path = sigma_minus_spec_file(tmp)
+        data = json.loads(path.read_text())
+        if field == "rate":
+            data["jumps"][0]["rate"] = value
+        else:
+            data["hamiltonian"] = [[value, 0.0, "Z"]]
+        path.write_text(json.dumps(data))
+        args = [command, "--spec", str(path)]
+    assert cli.main(args + ["--out", str(tmp / "r")]) == cli.EXIT_VALIDATION
+    assert "finite" in capsys.readouterr().err
+
+
 def test_steady_and_measure_commands(tmp_path):
     path = sigma_minus_spec_file(tmp_path)
     assert cli.main(["steady", "--spec", str(path), "--out", str(tmp_path)]) \

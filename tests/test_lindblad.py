@@ -377,6 +377,30 @@ def test_verify_ldl_degenerate_commutant():
     assert report.ground_matches_steady
 
 
+# a random 3-qubit spec with one steady state and a slow mode at
+# sigma/sigma_max = 1.9e-5 of L, i.e. lambda/lambda_max = 3.6e-10 of L^dag L:
+# the slow mode is not a steady state, so it must not count as ground
+SLOW_MODE_SPEC = """{"n": 3, "hamiltonian": [[0.04254562419776962, 0.0, "IIY"],
+ [0.4688161555488117, 0.0, "IZX"], [-1.5990559916401776, 0.0, "ZIX"]],
+ "jumps": [{"rate": 0.9623631445475793, "op": [
+   [-0.5523238869393083, 1.6480151274453896, "XXI"],
+   [2.2045407115482014, 0.4822304409636505, "ZYZ"],
+   [-0.7976049415131837, -0.5556476922482163, "ZZI"]]},
+  {"rate": 0.2792265036693706, "op": [
+   [1.2239137876568966, 0.4469449395799527, "YYX"],
+   [2.5489556577927783, 0.22567442239282395, "ZIX"],
+   [1.1594666324838385, 1.8684184780145432, "ZYZ"]]}]}"""
+
+
+def test_ground_dim_ignores_slow_modes():
+    spec, _ = lme_from_json_dict(json.loads(SLOW_MODE_SPEC))
+    ldl, _ = build_ldl(spec)
+    report = verify_ldl_properties(ldl, build_liouvillian(spec))
+    assert report.steady_dim == 1
+    assert report.ground_dim == 1
+    assert report.ground_matches_steady
+
+
 def test_st_commutator_random_specs():
     rng = np.random.default_rng(32)
     for _ in range(3):

@@ -7,6 +7,7 @@ import pytest
 
 from lgw.errors import (
     BudgetExceededError,
+    CapacityError,
     NeedHigherD,
     StructuralRejectionError,
     UnsolvableError,
@@ -15,13 +16,20 @@ from lgw.errors import (
 from lgw.lindblad import JumpChannel, LmeSpec, build_ldl
 from lgw.pauli import PauliSum
 from lgw.xl import (
+    EXACT_COLUMN_CAP,
     LinearizedSystem,
     LiouvillianAnsatz,
     QuadraticSystem,
+    _acceptable_roots,
+    _eliminate_exact,
+    _extract_univariates,
+    _filter_by_all,
     asymptotic_ratio,
     build_mq_system,
     count_terms,
+    eliminate,
     extend_equations,
+    linearize,
     site_channel,
     system_from_text,
     system_to_text,
@@ -376,72 +384,62 @@ def test_system_text_roundtrip():
     assert np.abs(back.residuals(truth)).max() < 1e-12
 
 
-def test_matrix_market_export(tmp_path):
-    import scipy.io
-
-    system = QuadraticSystem(
-        ["x", "y"],
-        ["h", "h"],
-        [{(0, 0): 1.0, (): -1.0}, {(0, 1): 2.0, (1,): -1.0}],
-    )
-    lin, ech, _ = xl_round(system, 2)
-    base = str(tmp_path / "lin")
-    lin.to_matrix_market(base)
-    mat = scipy.io.mmread(base + ".mtx").toarray()
-    rhs = np.asarray(scipy.io.mmread(base + "_rhs.mtx"))
-    assert mat.shape[0] == len(lin.rows) and rhs.shape[0] == len(lin.rows)
-    j = lin.col_monomials.index((0, 1))
-    assert mat[1, j] == 2.0
+def _root_sets(ech, roles):
+    """Per variable, the roots the solver would take from an echelon form."""
+    by_var = {}
+    for var, coeffs in _extract_univariates(ech):
+        by_var.setdefault(var, []).append(coeffs)
+    return {
+        var: _filter_by_all(_acceptable_roots(polys[0], roles[var]), polys[1:])
+        for var, polys in by_var.items()
+    }
 
 
-def test_sparse_and_dense_elimination_agree():
-    from lgw.xl import _eliminate_dense, _eliminate_sparse, linearize
-
+def test_float_elimination_matches_exact_oracle():
     rng = np.random.default_rng(63)
-    ansatz = LiouvillianAnsatz.xxz_chain(4)
-    h = rng.uniform(0, 1, ansatz.num_h)
-    lam = rng.uniform(0, 1, ansatz.num_jumps)
-    target = ansatz.forward_ldl(h, lam)
-    system = build_mq_system(ansatz, target)
-    truth = np.concatenate([h, lam, np.sqrt(lam)])
-    lin = linearize(system.equations, system.n_u, 2)
-    dense = _eliminate_dense(lin)
-    sparse = _eliminate_sparse(lin)
-    # pivot order differs between the kernels, but the row spaces must
-    # agree: equal rank, both consistent, both satisfied by the truth
-    assert len(dense.rows) == len(sparse.rows)
-    assert not dense.inconsistent and not sparse.inconsistent
-    for ech in (dense, sparse):
-        for row, rhs in zip(ech.rows, ech.rhs):
-            val = sum(
-                c * np.prod([truth[i] for i in ech.col_monomials[j]])
-                for j, c in row.items()
-            )
-            assert abs(val - rhs) < 1e-8
+    for sites in (2, 3, 4):
+        ansatz = LiouvillianAnsatz.xxz_chain(sites)
+        h = rng.uniform(0, 1, ansatz.num_h)
+        lam = rng.uniform(0, 1, ansatz.num_jumps)
+        system = build_mq_system(ansatz, ansatz.forward_ldl(h, lam))
+        truth = np.concatenate([h, lam, np.sqrt(lam)])
+        lin = linearize(system.equations, system.n_u, 2)
+        ech, oracle = eliminate(lin), _eliminate_exact(lin)
+        assert len(ech.rows) == len(oracle.rows)
+        assert not ech.inconsistent and not oracle.inconsistent
+        roots = _root_sets(ech, system.var_roles)
+        oracle_roots = _root_sets(oracle, system.var_roles)
+        assert roots and roots.keys() == oracle_roots.keys()
+        for var, found in roots.items():
+            assert len(found) == len(oracle_roots[var])
+            assert np.allclose(found, oracle_roots[var], rtol=0, atol=1e-8)
+        for out in (ech, oracle):
+            for row, rhs in zip(out.rows, out.rhs):
+                val = sum(
+                    c * np.prod(truth[list(out.col_monomials[j])])
+                    for j, c in row.items()
+                )
+                assert abs(val - rhs) < 1e-8
 
 
 def test_exact_rational_elimination_mode():
-    from lgw.errors import CapacityError
-    from lgw.xl import EXACT_COLUMN_CAP
-
     ansatz = one_site_ansatz()
-    target = ansatz.forward_ldl([0.7], [0.3])
-    system = build_mq_system(ansatz, target)
-    _, ech_float, uni_float = xl_round(system, 2)
-    _, ech_exact, uni_exact = xl_round(system, 2, exact=True)
-    assert len(ech_float.rows) == len(ech_exact.rows)
-    solution = xl_solve(system, exact=True)
-    assert abs(abs(solution.assignment["h_0"]) - 0.7) < 1e-8
-    assert abs(solution.assignment["lam_0"] - 0.3) < 1e-8
+    system = build_mq_system(ansatz, ansatz.forward_ldl([0.7], [0.3]))
+    lin = linearize(system.equations, system.n_u, 2)
+    oracle = _eliminate_exact(lin)
+    assert len(oracle.rows) == len(eliminate(lin).rows)
+    roots = _root_sets(oracle, system.var_roles)
+    assert np.allclose(np.abs(roots[0]), 0.7, rtol=0, atol=1e-8)
+    assert np.allclose(roots[1], 0.3, rtol=0, atol=1e-8)
 
-    # the rational path is for small column spaces only
+    # the rational oracle is for small column spaces only
     big = LiouvillianAnsatz.xxz_chain(9)
     rng = np.random.default_rng(70)
     big_target = big.forward_ldl(
         rng.uniform(0, 1, big.num_h), rng.uniform(0, 1, big.num_jumps)
     )
     big_system = build_mq_system(big, big_target)
-    assert big_system.n_u * (big_system.n_u + 1) // 2 + big_system.n_u \
-        > EXACT_COLUMN_CAP
+    big_lin = linearize(big_system.equations, big_system.n_u, 2)
+    assert len(big_lin.col_monomials) > EXACT_COLUMN_CAP
     with pytest.raises(CapacityError):
-        xl_round(big_system, 2, exact=True)
+        _eliminate_exact(big_lin)
