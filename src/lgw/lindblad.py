@@ -402,12 +402,16 @@ class SpectralReport:
     eigvec_condition: float = field(default=np.nan)
 
     def to_json_dict(self) -> dict:
+        # sorted on rounded keys so that LAPACK's order, which a rounding-
+        # level change can permute, does not reach the report
+        evals = self.eigenvalues
+        order = np.lexsort((np.round(evals.imag, 12), np.round(evals.real, 12)))
         return {
             "gap": self.gap,
             "steady_dim": self.steady_dim,
             "diagonalizable": self.diagonalizable,
             "mixing_time_estimate": self.mixing_time_estimate,
-            "eigenvalues": [[float(e.real), float(e.imag)] for e in self.eigenvalues],
+            "eigenvalues": [[float(e.real), float(e.imag)] for e in evals[order]],
         }
 
 
@@ -500,11 +504,18 @@ def _mixing_time_estimate(
         target = trace_norm(delta) / 2.0
 
         def distance(t):
-            return trace_norm(propagate(v0, t).reshape(dim, dim))
+            # a growing mode overflows to inf/nan, which no SVD takes
+            with np.errstate(over="ignore", invalid="ignore"):
+                vec = propagate(v0, t)
+            if not np.isfinite(vec).all():
+                return np.inf
+            return trace_norm(vec.reshape(dim, dim))
 
         t_hi = 1.0 / gap
         doublings = 0
-        while distance(t_hi) > target:
+        while (dist := distance(t_hi)) > target:
+            if not np.isfinite(dist):
+                return None
             t_hi *= 2.0
             doublings += 1
             if doublings > 80:

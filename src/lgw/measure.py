@@ -258,11 +258,6 @@ def bell_amplitude(rho: DensityMatrix, p: PauliString) -> complex:
 # -- shot-level sampling ------------------------------------------------------
 
 
-def _unitarity_defect(q: PauliSum) -> float:
-    prod = q.dagger() @ q
-    return prod.max_coeff_diff(PauliSum.identity(q.n))
-
-
 def hadamard_sample(
     q: PauliSum, rho: DensityMatrix, shots: int, seed: int, stream: int = 0
 ) -> float:
@@ -274,7 +269,7 @@ def hadamard_sample(
     """
     if shots < 1:
         raise ValidationError("need at least one shot")
-    defect = _unitarity_defect(q)
+    defect = q.unitarity_defect()
     if defect > 1e-10:
         raise ValidationError(f"substitute is not unitary (defect {defect:.3e})")
     x = trace_with_two_copies(q, rho).real

@@ -19,6 +19,9 @@ from lgw.lindblad import (
     DensityMatrix,
     JumpChannel,
     LmeSpec,
+    SpectralReport,
+    SuperOp,
+    _mixing_time_estimate,
     build_ldl,
     build_liouvillian,
     devectorize,
@@ -308,6 +311,25 @@ def test_spectral_report_json_keys():
     for key in ("gap", "steady_dim", "diagonalizable", "mixing_time_estimate"):
         assert key in data
     json.dumps(data)
+
+
+def test_spectral_report_sorts_eigenvalues():
+    rng = np.random.default_rng(31)
+    evals = np.array([-1.0 + 2.0j, 0.0, -1.0 - 2.0j, -0.5, -1.0 + 1e-14j, -3.0])
+    want = [[-3.0, 0.0], [-1.0, -2.0], [-1.0, 1e-14], [-1.0, 2.0],
+            [-0.5, 0.0], [0.0, 0.0]]
+    for _ in range(4):
+        shuffled = evals[rng.permutation(evals.size)]
+        report = SpectralReport(shuffled, 0.5, 1, True, None)
+        assert report.to_json_dict()["eigenvalues"] == want
+        # only the report is sorted; the array keeps the order given
+        assert np.array_equal(report.eigenvalues, shuffled)
+
+
+def test_mixing_estimate_none_when_distance_overflows():
+    # the 0.5 mode grows, so the propagated difference overflows to inf
+    liouv = SuperOp(1, np.diag([0.0, -1.0, -1.0, 0.5]).astype(complex))
+    assert _mixing_time_estimate(liouv, 1.0, True, 2, 0) is None
 
 
 def test_mixing_estimate_halves_trace_distance():

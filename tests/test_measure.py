@@ -182,6 +182,14 @@ def test_substitute_term_count_and_unitarity():
             assert (q.dagger() @ q).max_coeff_diff(PauliSum.identity(2 * n)) < 1e-10
 
 
+def test_unitarity_defect_of_substitutes_is_zero():
+    rng = np.random.default_rng(72)
+    for n in (2, 4, 6, 8, 10):
+        q = substitute_pauli(rand_word(n, rng))
+        assert q.unitarity_defect() == 0.0
+        assert (q.dagger() @ q).max_coeff_diff(PauliSum.identity(n)) == 0.0
+
+
 def test_substitute_rejects_odd_register():
     with pytest.raises(DimensionError):
         substitute_pauli(PauliString.from_letters("XYZ"))
@@ -254,6 +262,21 @@ def test_hadamard_rejects_non_unitary():
     a = PauliSum.from_letter_terms([(0.5, "II")])
     with pytest.raises(ValidationError):
         hadamard_sample(a, rho, 10, seed=0)
+
+
+def test_hadamard_unitarity_gate():
+    rho = rand_rho(2, np.random.default_rng(73))
+    q = substitute_pauli(PauliString.from_letters("XYZI"))
+    word, coeff = next(iter(q))
+    for delta, unitary in ((1e-9, False), (1e-12, True)):
+        # moved along its own phase, the word adds 2*delta*|coeff| to the
+        # identity coefficient of Q†Q
+        moved = PauliSum(q.n, {**q.terms, word: coeff * (1 + delta / abs(coeff))})
+        if unitary:
+            assert abs(hadamard_sample(moved, rho, 10, seed=0)) <= 1.0
+        else:
+            with pytest.raises(ValidationError, match="not unitary"):
+                hadamard_sample(moved, rho, 10, seed=0)
 
 
 def test_swap_sample_values():

@@ -192,9 +192,28 @@ def test_dense_cap(monkeypatch):
     monkeypatch.setenv("LG_DENSE_CAP", "2")
     with pytest.raises(CapacityError):
         to_matrix(PauliSum.identity(3))
+    with pytest.raises(CapacityError):
+        PauliSum.identity(3).unitarity_defect()
     monkeypatch.setenv("LG_DENSE_CAP", "definitely-not-an-int")
     with pytest.raises(ValidationError):
         to_matrix(PauliSum.identity(1))
+
+
+def loop_unitarity_defect(q):
+    """Reference: the defect read off the word-by-word product Q†Q."""
+    return (q.dagger() @ q).max_coeff_diff(PauliSum.identity(q.n))
+
+
+def test_unitarity_defect_matches_loop_on_random_sums():
+    rng = np.random.default_rng(71)
+    empty = PauliSum.zero(3)
+    assert empty.unitarity_defect() == loop_unitarity_defect(empty) == 1.0
+    for n in range(1, 9):
+        for terms in (1, 6, 40):
+            q = rand_pauli_sum(n, rng, terms)
+            want = loop_unitarity_defect(q)
+            # the summation order differs from the loop's
+            assert abs(q.unitarity_defect() - want) <= 1e-12 * max(1.0, want)
 
 
 def test_lexicographic_word_order():
