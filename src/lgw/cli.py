@@ -15,6 +15,7 @@ import os
 import sys
 import tempfile
 import time
+import warnings
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from .errors import (
     ValidationError,
     WorkbenchError,
 )
-from .pauli import PauliSum, parse_pauli_sum
+from .pauli import PauliSum, parse_pauli_sum, pauli_decompose
 
 DEFAULT_SEED = 0x4C4D4531
 
@@ -286,7 +287,6 @@ def cmd_verify(args) -> int:
     for entry in table.entries.values():
         if np.abs(entry.b.to_matrix() - entry.matrix).max() > 1e-12:
             table_ok = False
-    from .pauli import pauli_decompose
 
     rng = np.random.default_rng(args.seed)
     spot_err = 0.0
@@ -295,11 +295,12 @@ def cmd_verify(args) -> int:
         herm = rng.normal(size=(4 ** spec.n, 4 ** spec.n)) + 1j * rng.normal(
             size=(4 ** spec.n, 4 ** spec.n)
         )
-        obs = pauli_decompose(herm + herm.conj().T)
+        herm = herm + herm.conj().T
+        obs = pauli_decompose(herm)
         vec = lindblad.vectorize(rho)
-        direct = float(
-            np.vdot(vec.amplitudes, obs.to_matrix() @ vec.amplitudes).real
-        )
+        # the dense side uses the original matrix, so the check also
+        # covers the Pauli decomposition and its conversion back
+        direct = float(np.vdot(vec.amplitudes, herm @ vec.amplitudes).real)
         spot_err = max(spot_err, abs(measure.exact_expectation(obs, rho) - direct))
 
     checks = [
@@ -331,10 +332,14 @@ def cmd_verify(args) -> int:
 def cmd_steady(args) -> int:
     spec, _ = _stage("load_spec", lindblad.load_lme, args.spec)
     liouv = _stage("build_liouvillian", lindblad.build_liouvillian, spec)
-    states = _stage("steady_state", lindblad.steady_state, liouv)
-    report = lindblad.spectral_diagnostics(
-        liouv, mixing_probes=args.probes, seed=args.seed
-    )
+    # warnings (a failed PSD repair of a degenerate steady space, say)
+    # go into the report instead of onto stderr
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        states = _stage("steady_state", lindblad.steady_state, liouv)
+        report = lindblad.spectral_diagnostics(
+            liouv, mixing_probes=args.probes, seed=args.seed
+        )
     out = args.out or "."
     dump_json(
         os.path.join(out, "steady_report.json"),
@@ -342,6 +347,7 @@ def cmd_steady(args) -> int:
             "spectral": report.to_json_dict(),
             "states": [_matrix_to_json(s.matrix) for s in states],
             "purities": [s.purity() for s in states],
+            "warnings": [str(w.message) for w in caught],
         },
     )
     gap = "none" if report.gap is None else f"{report.gap:.6g}"

@@ -39,8 +39,9 @@ _LETTER_TO_BITS = {v: k for k, v in _BITS_TO_LETTER.items()}
 _I4 = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 _I4_ARRAY = np.array(_I4)
 
-# Word products per block in PauliSum.unitarity_defect: keeps each of the
-# block's temporaries near 1-2 MB whatever the term count.
+# Word products per block in PauliSum.unitarity_defect, and matrix entries
+# per block in to_matrix: keeps each of the block's temporaries near 1-2 MB
+# whatever the term count.
 _PRODUCT_BLOCK = 1 << 15
 
 
@@ -273,6 +274,15 @@ class PauliSum:
                 terms[word] = terms.get(word, 0.0) + ca * cb * phase
         return PauliSum(self.n, terms)
 
+    def _word_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """X masks, Z masks and coefficients of the terms, in term order."""
+        m = len(self.terms)
+        return (
+            np.fromiter((w.x for w in self.terms), dtype=np.int64, count=m),
+            np.fromiter((w.z for w in self.terms), dtype=np.int64, count=m),
+            np.fromiter(self.terms.values(), dtype=complex, count=m),
+        )
+
     def unitarity_defect(self) -> float:
         """Largest coefficient of Q†Q - I for this sum Q.
 
@@ -284,10 +294,8 @@ class PauliSum:
         """
         n = self.n
         _check_dense(n)
-        m = len(self.terms)
-        x = np.fromiter((w.x for w in self.terms), dtype=np.int64, count=m)
-        z = np.fromiter((w.z for w in self.terms), dtype=np.int64, count=m)
-        c = np.fromiter(self.terms.values(), dtype=complex, count=m)
+        x, z, c = self._word_arrays()
+        m = len(c)
         y = np.bitwise_count(x & z).astype(np.int64)
         acc = np.zeros(4 ** n, dtype=complex)
         rows = max(1, _PRODUCT_BLOCK // max(m, 1))
@@ -370,20 +378,48 @@ def tensor(a: PauliSum, b: PauliSum) -> PauliSum:
 
 
 def to_matrix(s: PauliSum) -> np.ndarray:
-    """Dense complex matrix of a Pauli sum, qubit 0 most significant."""
-    _check_dense(s.n)
-    dim = 2 ** s.n
-    out = np.zeros((dim, dim), dtype=complex)
-    for word, coeff in s.terms.items():
-        out += coeff * word.to_matrix()
-    return out
+    """Dense complex matrix of a Pauli sum, qubit 0 most significant.
+
+    Each word is a signed permutation: it sends column c to row c ^ X
+    with value coeff * i^y * (-1)^popcount(Z & c), where X and Z are its
+    masks bit-reversed into index order and y is its number of Y letters.
+    The entries are scattered word by word in blocks, so every matrix
+    entry sums its words in term order, as adding the words' Kronecker
+    products one after another would.
+    """
+    n = s.n
+    _check_dense(n)
+    dim = 2 ** n
+    x, z, c = s._word_arrays()
+    c = c * _I4_ARRAY[np.bitwise_count(x & z) & 3]
+    # bit k of a mask is qubit k, which is bit n-1-k of a matrix index
+    bits = np.arange(n, dtype=np.int64)
+    flip = ((x[:, None] >> bits) & 1) << (n - 1 - bits)
+    phase = ((z[:, None] >> bits) & 1) << (n - 1 - bits)
+    flip, phase = flip.sum(axis=1), phase.sum(axis=1)
+    cols = np.arange(dim, dtype=np.int64)
+    out = np.zeros(dim * dim, dtype=complex)
+    words = max(1, _PRODUCT_BLOCK // dim)
+    for lo in range(0, len(c), words):
+        f, p = flip[lo:lo + words, None], phase[lo:lo + words, None]
+        coeff = c[lo:lo + words, None]
+        odd = np.bitwise_count(p & cols) & 1
+        np.add.at(
+            out,
+            ((f ^ cols) * dim + cols).ravel(),
+            np.where(odd, -coeff, coeff).ravel(),
+        )
+    return out.reshape(dim, dim)
 
 
 def pauli_decompose(m: np.ndarray) -> PauliSum:
     """Expand a square matrix in the Pauli basis.
 
     The coefficient of word P is Tr(P m) / 2^n; round-tripping through
-    ``to_matrix`` reproduces m to working precision.
+    ``to_matrix`` reproduces m to working precision.  Qubit by qubit,
+    most significant first, the qubit's row and column axes become one
+    letter axis (I, X, Y, Z), so M = I(x)M_I + X(x)M_X + Y(x)M_Y + Z(x)M_Z
+    is applied to every block at once.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -393,25 +429,30 @@ def pauli_decompose(m: np.ndarray) -> PauliSum:
         raise DimensionError(f"matrix dimension {dim} is not a power of two")
     n = dim.bit_length() - 1
 
-    terms: dict[PauliString, complex] = {}
-
-    def descend(block: np.ndarray, x: int, z: int, k: int) -> None:
-        if k == n:
-            terms[PauliString(n, x, z)] = block[0, 0]
-            return
-        h = block.shape[0] // 2
-        a = block[:h, :h]
-        b = block[:h, h:]
-        c = block[h:, :h]
-        d = block[h:, h:]
-        # split off qubit k: M = I(x)MI + X(x)MX + Y(x)MY + Z(x)MZ
-        descend((a + d) / 2, x, z, k + 1)
-        descend((b + c) / 2, x | (1 << k), z, k + 1)
-        descend(1j * (b - c) / 2, x | (1 << k), z | (1 << k), k + 1)
-        descend((a - d) / 2, x, z | (1 << k), k + 1)
-
-    descend(m, 0, 0, 0)
-    return PauliSum(n, terms)
+    # t[word so far, rows, columns] holds the blocks of the qubits not yet
+    # split off; each pass splits off the most significant one
+    t = m.reshape(1, dim, dim)
+    for _ in range(n):
+        h = t.shape[1] // 2
+        t = t.reshape(-1, 2, h, 2, h)
+        a, b = t[:, 0, :, 0, :], t[:, 0, :, 1, :]
+        c, d = t[:, 1, :, 0, :], t[:, 1, :, 1, :]
+        t = np.stack(
+            [(a + d) / 2, (b + c) / 2, 1j * (b - c) / 2, (a - d) / 2], axis=1
+        ).reshape(-1, h, h)
+    # letter tuples in C order, qubit 0 outermost; letters 1, 2 (X, Y)
+    # carry an x bit and letters 2, 3 (Y, Z) a z bit
+    letters = np.indices((4,) * n).reshape(n, 4 ** n)
+    shift = np.arange(n).reshape(n, 1)
+    xs = (((letters == 1) | (letters == 2)) << shift).sum(axis=0)
+    zs = (((letters == 2) | (letters == 3)) << shift).sum(axis=0)
+    return PauliSum(
+        n,
+        {
+            PauliString(n, x, z): coeff
+            for x, z, coeff in zip(xs.tolist(), zs.tolist(), t.ravel())
+        },
+    )
 
 
 # -- text format -------------------------------------------------------

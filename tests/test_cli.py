@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -172,6 +173,7 @@ def test_steady_and_measure_commands(tmp_path):
     report = json.loads((tmp_path / "steady_report.json").read_text())
     assert report["spectral"]["steady_dim"] == 1
     assert abs(report["spectral"]["gap"] - 0.5) < 1e-9
+    assert report["warnings"] == []
 
     obs = tmp_path / "obs.txt"
     obs.write_text(format_pauli_sum(PauliSum.from_letter_terms([(1.0, "ZZ")])))
@@ -190,13 +192,20 @@ def test_steady_with_degenerate_steady_space(tmp_path):
     spec = rand_lme_spec(3, np.random.default_rng(3), jumps=2)
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(lme_to_json_dict(spec)))
-    assert cli.main(
-        ["steady", "--spec", str(path), "--seed", "0", "--probes", "3",
-         "--out", str(tmp_path)]
-    ) == cli.EXIT_OK
+    # the failed PSD repair is reported in the artifact, not warned
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(
+            ["steady", "--spec", str(path), "--seed", "0", "--probes", "3",
+             "--out", str(tmp_path)]
+        ) == cli.EXIT_OK
     report = json.loads((tmp_path / "steady_report.json").read_text())
     assert report["spectral"]["steady_dim"] == 2
     assert report["spectral"]["mixing_time_estimate"] is None
+    assert len(report["warnings"]) == 1
+    assert report["warnings"][0].startswith(
+        "degenerate steady space: PSD repair failed"
+    )
 
 
 def test_measure_needs_unique_steady_state(tmp_path):

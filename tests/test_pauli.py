@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
 
@@ -90,13 +93,29 @@ def test_to_matrix_swap_pattern():
     assert np.abs(to_matrix(s) - SWAP_PATTERN).max() < 1e-15
 
 
-def test_to_matrix_termwise_kron_oracle():
-    rng = np.random.default_rng(3)
-    s = rand_pauli_sum(3, rng, terms=3)
-    expect = np.zeros((8, 8), dtype=complex)
+def kron_to_matrix(s):
+    """Reference: the words' Kronecker products added in term order."""
+    out = np.zeros((2 ** s.n, 2 ** s.n), dtype=complex)
     for word, coeff in s.terms.items():
-        expect += coeff * word.to_matrix()
-    assert np.abs(to_matrix(s) - expect).max() == 0.0
+        out += coeff * word.to_matrix()
+    return out
+
+
+def test_to_matrix_termwise_kron_oracle():
+    # the scatter adds every entry's words in term order, as the reference
+    # does, and each word's value is exact, so the results agree bit for bit
+    rng = np.random.default_rng(3)
+    sums = [PauliSum.zero(0), PauliSum.zero(3)]
+    for n in range(9):
+        for terms in (1, 6, 40):
+            sums.append(rand_pauli_sum(n, rng, terms))
+    words = ["".join(p) for p in itertools.product("IXYZ", repeat=6)]
+    sums.append(PauliSum.from_letter_terms(
+        (complex(rng.normal(), rng.normal()), words[i])
+        for i in rng.permutation(len(words))
+    ))
+    for s in sums:
+        assert np.array_equal(to_matrix(s), kron_to_matrix(s))
 
 
 def test_qubit_zero_is_most_significant():
@@ -123,6 +142,37 @@ def test_decompose_roundtrip_random_hermitian():
     dec = pauli_decompose(m)
     assert np.abs(to_matrix(dec) - m).max() < 1e-12
     assert all(abs(c.imag) < 1e-12 for _, c in dec)
+
+
+@pytest.mark.parametrize(
+    "n, digest",
+    [
+        (1, "d33c15f52c35961a126d08524dd3f841edc529647ac3646d08079edb61c2ae5a"),
+        (2, "1366c8d6ab7ffd74ae80ad78e5b536e7528c513e47679423dbbe08288a3dfcc2"),
+        (3, "2da0f823600a740985212ff0788cddd486a552cc1046422f1606136b7ee85162"),
+        (4, "7db511d908de676d6a7c3ff5b40a883449b385d3bcf763deba18a5cfac301869"),
+        (5, "95d3c058e84759284770182bdef6ba92180999e8ca58c4a57579c6285f53f8ce"),
+        (6, "a72e00e2feba22ea667808043baa92bc008cd198c59a9db5a2f9d79731fb70f7"),
+    ],
+)
+def test_decompose_text_pinned(n, digest):
+    # digests recorded from a block-recursive decomposition that does the
+    # same floating-point operations in the same order
+    rng = np.random.default_rng(400 + n)
+    m = rng.normal(size=(2 ** n, 2 ** n)) + 1j * rng.normal(size=(2 ** n, 2 ** n))
+    text = format_pauli_sum(pauli_decompose(m))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_decompose_insertion_order():
+    # letters I, X, Y, Z, qubit 0 outermost
+    rng = np.random.default_rng(8)
+    for n in range(4):
+        m = rng.normal(size=(2 ** n, 2 ** n)) + 1j * rng.normal(size=(2 ** n, 2 ** n))
+        dec = pauli_decompose(m)
+        assert [w.letters for w in dec.terms] == [
+            "".join(p) for p in itertools.product("IXYZ", repeat=n)
+        ]
 
 
 def test_decompose_rejects_non_power_of_two():
@@ -189,6 +239,9 @@ def test_text_format_rejects_bad_letters():
 def test_dense_cap(monkeypatch):
     with pytest.raises(CapacityError):
         to_matrix(PauliSum.identity(13))
+    # refused before any buffer is allocated: 2^60 entries could not be
+    with pytest.raises(CapacityError):
+        to_matrix(PauliSum.from_letter_terms([(1.0, "XYZ" * 10)]))
     monkeypatch.setenv("LG_DENSE_CAP", "2")
     with pytest.raises(CapacityError):
         to_matrix(PauliSum.identity(3))
