@@ -118,11 +118,6 @@ def _stage(name, fn, *args, **kwargs):
         raise StageError(name, err) from err
 
 
-def _integration_steps(t: float, lmat: np.ndarray) -> int:
-    radius = float(np.abs(np.linalg.eigvals(lmat)).max())
-    return max(200, int(np.ceil(4.0 * t * max(radius, 1.0))))
-
-
 # -- subcommands ---------------------------------------------------------------
 
 
@@ -176,7 +171,7 @@ def cmd_pipeline(args) -> int:
     )
     rho_t = _stage(
         "evolve", lindblad.evolve, liouv, rho0, t_evolve,
-        _integration_steps(t_evolve, liouv.matrix),
+        lindblad.integration_steps(liouv, t_evolve),
     )
 
     gamma = args.gamma if args.gamma is not None else rho_t.purity()

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -66,7 +67,9 @@ class LmeSpec:
 
 @dataclass(frozen=True)
 class SuperOp:
-    """A dense operator on vectorized density matrices (dim 4^n)."""
+    """A dense operator on vectorized density matrices (dim 4^n); its
+    factorizations ``eig`` and ``null_basis`` are computed on first use and
+    cached, which relies on ``matrix`` not being modified after construction."""
 
     n: int
     matrix: np.ndarray
@@ -78,6 +81,16 @@ class SuperOp:
                 f"superoperator for n={self.n} must be {dim}x{dim}, "
                 f"got {self.matrix.shape}"
             )
+
+    @cached_property
+    def eig(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenvalues and right eigenvectors, ``np.linalg.eig(matrix)``."""
+        return np.linalg.eig(self.matrix)
+
+    @cached_property
+    def null_basis(self) -> np.ndarray:
+        """Orthonormal right null-space basis (columns), by one SVD."""
+        return _null_space(self.matrix)
 
 
 class DensityMatrix:
@@ -299,15 +312,14 @@ def steady_state(liouv: SuperOp) -> list[DensityMatrix]:
     degenerate steady space) a warning is emitted and the raw Hermitized,
     Frobenius-normalized basis is returned unvalidated.
     """
-    basis = _null_space(liouv.matrix)
+    basis = liouv.null_basis
     if basis.shape[1] == 0:
         raise NoSteadyStateError("generator has no numerical null space")
     dim = 2 ** liouv.n
+    herms = [(mat + mat.conj().T) / 2 for mat in basis.T.reshape(-1, dim, dim)]
     repaired = []
     degenerate = False
-    for k in range(basis.shape[1]):
-        mat = basis[:, k].reshape(dim, dim)
-        herm = (mat + mat.conj().T) / 2
+    for herm in herms:
         tr = np.trace(herm).real
         if abs(tr) < 1e-8:
             degenerate = True
@@ -328,13 +340,10 @@ def steady_state(liouv: SuperOp) -> list[DensityMatrix]:
             "returning the raw Hermitized null-space basis",
             stacklevel=2,
         )
-        out = []
-        for k in range(basis.shape[1]):
-            mat = basis[:, k].reshape(dim, dim)
-            herm = (mat + mat.conj().T) / 2
-            herm = herm / np.linalg.norm(herm)
-            out.append(DensityMatrix(liouv.n, herm, validate=False))
-        return out
+        return [
+            DensityMatrix(liouv.n, herm / np.linalg.norm(herm), validate=False)
+            for herm in herms
+        ]
     return repaired
 
 
@@ -378,15 +387,10 @@ def evolve(liouv: SuperOp, rho0: DensityMatrix, t: float, steps: int) -> Density
     return DensityMatrix(liouv.n, mat / tr, validate=False)
 
 
-def step_halving_delta(
-    liouv: SuperOp, rho0: DensityMatrix, t: float, steps: int
-) -> float:
-    """Max-abs change of the evolved vector when the step size is halved;
-    the convergence check behind the fixed-step contract."""
-    v0 = rho0.matrix.reshape(-1)
-    coarse = evolve_vector(liouv.matrix, v0, t, steps)
-    fine = evolve_vector(liouv.matrix, v0, t, 2 * steps)
-    return float(np.abs(coarse - fine).max())
+def integration_steps(liouv: SuperOp, t: float) -> int:
+    """RK4 step count for time t: 4 per unit of t * spectral radius, >= 200."""
+    radius = float(np.abs(liouv.eig[0]).max())
+    return max(200, int(np.ceil(4.0 * t * max(radius, 1.0))))
 
 
 # -- spectra and runtime bounds -------------------------------------------
@@ -436,12 +440,12 @@ def spectral_diagnostics(
     """Eigen-spectrum, decay gap, diagonalizability and a probe-based
     mixing-time estimate (a lower bound: the true mixing time quantifies
     over all state pairs, the probes sample a few)."""
-    evals, evecs = np.linalg.eig(liouv.matrix)
+    evals, evecs = liouv.eig
     nonzero_re = np.abs(evals.real)[np.abs(evals.real) > 1e-9]
     gap = float(nonzero_re.min()) if nonzero_re.size else None
     cond = float(np.linalg.cond(evecs))
     diagonalizable = bool(cond < DIAGONALIZABLE_COND_MAX)
-    steady_dim = _null_space(liouv.matrix).shape[1]
+    steady_dim = liouv.null_basis.shape[1]
     # with several steady states a difference of two states need not
     # contract, so there is no mixing time to estimate
     mixing = (
@@ -470,7 +474,7 @@ def _mixing_time_estimate(
         return None
     dim = 2 ** liouv.n
     if diagonalizable:
-        evals, evecs = np.linalg.eig(liouv.matrix)
+        evals, evecs = liouv.eig
         inv = np.linalg.inv(evecs)
 
         def propagate(vec, t):
@@ -611,7 +615,7 @@ def verify_ldl_properties(
     st_norm = float(np.linalg.norm(mat[:, perm] - mat.conj()[perm, :]))
     steady_dim = None
     if liouvillian is not None:
-        steady_dim = _null_space(liouvillian.matrix).shape[1]
+        steady_dim = liouvillian.null_basis.shape[1]
     return LdlPropertyReport(
         min_eigenvalue=float(evals[0]),
         ground_energy=float(abs(evals[0])),

@@ -54,12 +54,10 @@ def rand_lme_spec(n, rng, jumps=2, ham_terms=3):
 
 def unique_steady_spec(n, rng, max_tries=60):
     """Random spec rejected-sampled to a one-dimensional steady space."""
-    from lgw.lindblad import _null_space
-
     for _ in range(max_tries):
         spec = rand_lme_spec(n, rng, jumps=int(rng.integers(1, 4)))
         liouv = build_liouvillian(spec)
-        if _null_space(liouv.matrix).shape[1] == 1:
+        if liouv.null_basis.shape[1] == 1:
             return spec, liouv
     raise RuntimeError("failed to sample a unique-steady-state instance")
 

@@ -30,12 +30,12 @@ from lgw.lindblad import (
     exchange_conjugate,
     exchange_matrix,
     exchange_symmetry_defect,
+    integration_steps,
     lme_from_json_dict,
     lme_to_json_dict,
     runtime_bound,
     spectral_diagnostics,
     steady_state,
-    step_halving_delta,
     trace_norm,
     vec_overlap,
     vectorize,
@@ -275,7 +275,9 @@ def test_evolve_drift_and_convergence():
     mat = v.reshape(2, 2)
     assert abs(np.trace(mat).real - 1.0) < 1e-8
     assert np.abs(mat - mat.conj().T).max() < 1e-8
-    assert step_halving_delta(liouv, rho0, 2.0, 200) < 1e-8
+    # halving the step size moves the result by less than 1e-8
+    fine = evolve_vector(liouv.matrix, rho0.matrix.reshape(-1), 2.0, 400)
+    assert np.abs(v - fine).max() < 1e-8
 
 
 def test_purity_ratio_lower_bound():
@@ -302,6 +304,33 @@ def test_spectral_diagnostics_gaps():
     )
     report = spectral_diagnostics(closed, mixing_probes=2, seed=0)
     assert report.gap is None and report.mixing_time_estimate is None
+
+
+def test_generator_is_factored_once(monkeypatch):
+    rng = np.random.default_rng(38)
+    spec, _ = unique_steady_spec(2, rng)
+    liouv = build_liouvillian(spec)
+    ldl, _ = build_ldl(spec)
+    calls = {"eig": 0, "eigvals": 0, "svd": 0}
+
+    def counting(name):
+        inner = getattr(np.linalg, name)
+
+        def wrapper(a, *args, **kwargs):
+            if a is liouv.matrix:
+                calls[name] += 1
+            return inner(a, *args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counting(name))
+    steady_state(liouv)
+    spectral_diagnostics(liouv, mixing_probes=2)
+    report = verify_ldl_properties(ldl, liouv)
+    assert integration_steps(liouv, 1.0) >= 200
+    assert report.steady_dim == 1
+    assert calls == {"eig": 1, "eigvals": 0, "svd": 1}
 
 
 def test_spectral_report_json_keys():
