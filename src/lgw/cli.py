@@ -481,6 +481,9 @@ def main(argv=None) -> int:
     except WorkbenchError as err:
         print(f"error: {err}", file=sys.stderr)
         return _exit_code(err)
+    except np.linalg.LinAlgError as err:
+        print(f"error: linear algebra failed: {err}", file=sys.stderr)
+        return EXIT_FAILURE
 
 
 if __name__ == "__main__":

@@ -67,9 +67,18 @@ class LmeSpec:
 
 @dataclass(frozen=True)
 class SuperOp:
-    """A dense operator on vectorized density matrices (dim 4^n); its
-    factorizations ``eig`` and ``null_basis`` are computed on first use and
-    cached, which relies on ``matrix`` not being modified after construction."""
+    """A dense operator on vectorized density matrices (dim 4^n).
+
+    ``blocks`` holds the index sets of the connected components of
+    ``matrix != 0``, read as an undirected graph.  The matrix is exactly
+    block-diagonal on them (an XXZ generator with one raising channel per
+    site conserves the ket-minus-bra magnetization and has 2n+1 blocks),
+    so every factorization runs block by block: ``eig`` per block and
+    ``null_basis`` by one SVD per block.  A one-block operator factors
+    ``matrix`` itself.  ``blocks``, ``eig`` and ``null_basis`` are
+    computed on first use and cached, which relies on ``matrix`` not being
+    modified after construction.
+    """
 
     n: int
     matrix: np.ndarray
@@ -83,14 +92,54 @@ class SuperOp:
             )
 
     @cached_property
-    def eig(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues and right eigenvectors, ``np.linalg.eig(matrix)``."""
-        return np.linalg.eig(self.matrix)
+    def blocks(self) -> tuple[np.ndarray, ...]:
+        """Sorted index sets of the connected components of ``matrix != 0``,
+        in order of their smallest index."""
+        return _components(self.matrix != 0)
+
+    def block_matrices(self) -> list[np.ndarray]:
+        """The diagonal block of ``matrix`` on each index set of ``blocks``;
+        a one-block operator gives ``matrix`` itself, not a copy."""
+        if len(self.blocks) == 1:
+            return [self.matrix]
+        return [self.matrix[np.ix_(idx, idx)] for idx in self.blocks]
+
+    @cached_property
+    def eig(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Per block: eigenvalues and right eigenvectors, ``np.linalg.eig``."""
+        return tuple(np.linalg.eig(mat) for mat in self.block_matrices())
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        """The eigenvalues of every block, concatenated in block order."""
+        return np.concatenate([vals for vals, _ in self.eig])
 
     @cached_property
     def null_basis(self) -> np.ndarray:
-        """Orthonormal right null-space basis (columns), by one SVD."""
-        return _null_space(self.matrix)
+        """Orthonormal right null-space basis (columns), by one SVD per block."""
+        return _block_null_space(self.block_matrices(), self.blocks, NULL_SPACE_RTOL)
+
+
+def _components(mask: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Connected components of the undirected graph whose edges are the
+    nonzero entries of the square ``mask``, by label propagation with
+    pointer jumping: each label is a node's root, roots only ever hook to
+    smaller roots, so a component ends labelled by its smallest index."""
+    rows, cols = np.nonzero(mask)
+    labels = np.arange(mask.shape[0])
+    while True:
+        a, b = labels[rows], labels[cols]
+        crossing = a != b
+        if not crossing.any():
+            break
+        # an edge whose ends share a root keeps sharing it, so drop it
+        rows, cols = rows[crossing], cols[crossing]
+        a, b = a[crossing], b[crossing]
+        np.minimum.at(labels, np.maximum(a, b), np.minimum(a, b))
+        while not np.array_equal(jumped := labels[labels], labels):
+            labels = jumped
+    order = np.argsort(labels, kind="stable")
+    return tuple(np.split(order, np.flatnonzero(np.diff(labels[order])) + 1))
 
 
 class DensityMatrix:
@@ -295,12 +344,26 @@ def exchange_matrix(n: int) -> np.ndarray:
 
 def _null_space(matrix: np.ndarray, rtol: float = NULL_SPACE_RTOL) -> np.ndarray:
     """Orthonormal right null-space basis (columns) by SVD."""
-    _, svals, vh = np.linalg.svd(matrix)
-    smax = svals[0] if svals.size else 0.0
+    return _block_null_space([matrix], [np.arange(matrix.shape[1])], rtol)
+
+
+def _block_null_space(mats, blocks, rtol: float) -> np.ndarray:
+    """Null-space basis of the block-diagonal matrix whose block on the
+    index set ``blocks[k]`` is ``mats[k]``: one SVD per block, the rank rule
+    ``rtol`` * sigma_max on the largest singular value of all blocks, and
+    each null vector embedded at full length."""
+    dim = sum(len(idx) for idx in blocks)
+    svds = [np.linalg.svd(mat)[1:] for mat in mats]
+    smax = max((svals[0] for svals, _ in svds if svals.size), default=0.0)
     if smax == 0.0:
-        return np.eye(matrix.shape[1], dtype=complex)
-    rank = int(np.sum(svals > rtol * smax))
-    return vh[rank:].conj().T
+        return np.eye(dim, dtype=complex)
+    pieces = []
+    for idx, (svals, vh) in zip(blocks, svds):
+        rank = int(np.sum(svals > rtol * smax))
+        piece = np.zeros((dim, vh.shape[0] - rank), dtype=vh.dtype)
+        piece[idx] = vh[rank:].conj().T
+        pieces.append(piece)
+    return np.concatenate(pieces, axis=1)
 
 
 def steady_state(liouv: SuperOp) -> list[DensityMatrix]:
@@ -372,10 +435,15 @@ def evolve_vector(lmat: np.ndarray, v0: np.ndarray, t: float, steps: int) -> np.
 
 
 def evolve(liouv: SuperOp, rho0: DensityMatrix, t: float, steps: int) -> DensityMatrix:
-    """Propagate rho0 for time t with ``steps`` fixed substeps."""
+    """Propagate rho0 for time t with ``steps`` fixed substeps, block by
+    block; a block on which vec(rho0) vanishes stays exactly zero."""
     if rho0.n != liouv.n:
         raise DimensionError("state and generator qubit counts differ")
-    v = evolve_vector(liouv.matrix, rho0.matrix.reshape(-1), t, steps)
+    v0 = rho0.matrix.reshape(-1)
+    v = np.zeros(v0.shape, dtype=complex)
+    for idx, mat in zip(liouv.blocks, liouv.block_matrices()):
+        if np.any(v0[idx]):
+            v[idx] = evolve_vector(mat, v0[idx], t, steps)
     dim = 2 ** liouv.n
     mat = v.reshape(dim, dim)
     mat = (mat + mat.conj().T) / 2
@@ -389,7 +457,7 @@ def evolve(liouv: SuperOp, rho0: DensityMatrix, t: float, steps: int) -> Density
 
 def integration_steps(liouv: SuperOp, t: float) -> int:
     """RK4 step count for time t: 4 per unit of t * spectral radius, >= 200."""
-    radius = float(np.abs(liouv.eig[0]).max())
+    radius = float(np.abs(liouv.eigenvalues).max())
     return max(200, int(np.ceil(4.0 * t * max(radius, 1.0))))
 
 
@@ -440,10 +508,13 @@ def spectral_diagnostics(
     """Eigen-spectrum, decay gap, diagonalizability and a probe-based
     mixing-time estimate (a lower bound: the true mixing time quantifies
     over all state pairs, the probes sample a few)."""
-    evals, evecs = liouv.eig
+    evals = liouv.eigenvalues
     nonzero_re = np.abs(evals.real)[np.abs(evals.real) > 1e-9]
     gap = float(nonzero_re.min()) if nonzero_re.size else None
-    cond = float(np.linalg.cond(evecs))
+    # the condition number of the block-diagonal eigenvector matrix
+    svals = [np.linalg.svd(vecs, compute_uv=False) for _, vecs in liouv.eig]
+    with np.errstate(divide="ignore"):
+        cond = float(max(s[0] for s in svals) / min(s[-1] for s in svals))
     diagonalizable = bool(cond < DIAGONALIZABLE_COND_MAX)
     steady_dim = liouv.null_basis.shape[1]
     # with several steady states a difference of two states need not
@@ -474,16 +545,23 @@ def _mixing_time_estimate(
         return None
     dim = 2 ** liouv.n
     if diagonalizable:
-        evals, evecs = liouv.eig
-        inv = np.linalg.inv(evecs)
+        factors = [(vals, vecs, np.linalg.inv(vecs)) for vals, vecs in liouv.eig]
 
-        def propagate(vec, t):
-            return evecs @ (np.exp(evals * t) * (inv @ vec))
+        def propagate_block(k, vec, t):
+            vals, vecs, inv = factors[k]
+            return vecs @ (np.exp(vals * t) * (inv @ vec))
 
     else:
+        mats = liouv.block_matrices()
 
-        def propagate(vec, t):
-            return scipy.linalg.expm(liouv.matrix * t) @ vec
+        def propagate_block(k, vec, t):
+            return scipy.linalg.expm(mats[k] * t) @ vec
+
+    def propagate(vec, t):
+        out = np.empty(vec.shape, dtype=complex)
+        for k, idx in enumerate(liouv.blocks):
+            out[idx] = propagate_block(k, vec[idx], t)
+        return out
 
     rng = np.random.default_rng(seed)
 
@@ -603,7 +681,9 @@ def verify_ldl_properties(
     exchange/conjugation map, and (when the generator is supplied)
     agreement between ground-space and steady-space dimensions."""
     mat = (ldl.matrix + ldl.matrix.conj().T) / 2
-    evals = np.linalg.eigvalsh(mat)
+    evals = np.sort(np.concatenate([
+        np.linalg.eigvalsh((blk + blk.conj().T) / 2) for blk in ldl.block_matrices()
+    ]))
     # the steady count's sigma <= NULL_SPACE_RTOL * sigma_max of L reads
     # lambda <= NULL_SPACE_RTOL**2 * lambda_max here (lambda = sigma**2),
     # floored at what eigvalsh resolves, about dim * eps * lambda_max

@@ -389,7 +389,11 @@ class EstimateReport:
 
 def observable_norms(a: PauliSum) -> tuple[float, float, int]:
     """(spectral norm, Frobenius norm squared, term count) of a Hermitian
-    observable; the spectral norm is computed densely at desk scale."""
+    observable; a one-word sum c*P has norm |c|, any other sum's spectral
+    norm is computed densely at desk scale."""
+    if len(a) == 1:
+        (coeff,) = a.terms.values()
+        return abs(coeff), a.frobenius_norm_sq(), 1
     evals = np.linalg.eigvalsh(to_matrix(a))
     return float(np.abs(evals).max()), a.frobenius_norm_sq(), len(a)
 

@@ -208,6 +208,20 @@ def test_steady_with_degenerate_steady_space(tmp_path):
     )
 
 
+def test_linalg_error_is_one_error_line(tmp_path, monkeypatch, capsys):
+    def diverge(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(cli.lindblad, "spectral_diagnostics", diverge)
+    path = sigma_minus_spec_file(tmp_path)
+    assert cli.main(["steady", "--spec", str(path), "--out", str(tmp_path)]) \
+        == cli.EXIT_FAILURE
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        "error: linear algebra failed: SVD did not converge"
+    ]
+
+
 def test_measure_needs_unique_steady_state(tmp_path):
     spec = LmeSpec(1, PauliSum.from_letter_terms([(1.0, "Z")]), ())
     path = tmp_path / "degenerate.json"

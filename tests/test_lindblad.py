@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy.optimize import linear_sum_assignment
 
 from conftest import (
     rand_lme_spec,
@@ -22,6 +24,7 @@ from lgw.lindblad import (
     SpectralReport,
     SuperOp,
     _mixing_time_estimate,
+    _null_space,
     build_ldl,
     build_liouvillian,
     devectorize,
@@ -42,6 +45,7 @@ from lgw.lindblad import (
     verify_ldl_properties,
 )
 from lgw.pauli import PauliSum, to_matrix
+from lgw.xl import LiouvillianAnsatz
 
 
 def lme_rhs(spec, rho):
@@ -331,6 +335,128 @@ def test_generator_is_factored_once(monkeypatch):
     assert integration_steps(liouv, 1.0) >= 200
     assert report.steady_dim == 1
     assert calls == {"eig": 1, "eigvals": 0, "svd": 1}
+
+
+def xxz_liouvillian(sites, seed):
+    """Generator of a random XXZ chain with one raising channel per site;
+    it conserves the ket-minus-bra magnetization, so it has 2*sites + 1
+    blocks."""
+    rng = np.random.default_rng(seed)
+    ansatz = LiouvillianAnsatz.xxz_chain(sites)
+    ham, jumps = ansatz.instantiate(rng.uniform(0.0, 1.0, ansatz.num_h),
+                                    rng.uniform(0.2, 1.0, ansatz.num_jumps))
+    spec = LmeSpec(sites, ham, tuple(JumpChannel(r, op) for r, op in jumps))
+    return build_liouvillian(spec)
+
+
+@pytest.mark.parametrize("sites", [3, 4])
+def test_block_factorizations_match_dense_oracle(sites):
+    liouv = xxz_liouvillian(sites, 70 + sites)
+    mat = liouv.matrix
+    assert len(liouv.blocks) == 2 * sites + 1
+    assert sorted(np.concatenate(liouv.blocks)) == list(range(4 ** sites))
+    # the oracle factors the full matrix
+    evals, evecs = np.linalg.eig(mat)
+    _, svals, vh = np.linalg.svd(mat)
+    null = vh[int(np.sum(svals > 1e-10 * svals[0])):].conj().T
+    nonzero_re = np.abs(evals.real)[np.abs(evals.real) > 1e-9]
+
+    blockwise = liouv.eigenvalues
+    dist = np.abs(blockwise[:, None] - evals[None, :])
+    rows, cols = linear_sum_assignment(dist)
+    assert dist[rows, cols].max() <= 1e-12 * np.abs(evals).max()
+
+    report = spectral_diagnostics(liouv, mixing_probes=2, seed=5)
+    assert report.steady_dim == null.shape[1] == 1
+    assert abs(report.gap - nonzero_re.min()) <= 1e-12 * np.abs(evals).max()
+    assert report.diagonalizable == (np.linalg.cond(evecs) < 1e8)
+    blockwise_vecs = scipy.linalg.block_diag(*[vecs for _, vecs in liouv.eig])
+    assert report.eigvec_condition == pytest.approx(
+        np.linalg.cond(blockwise_vecs), rel=1e-10)
+    basis = liouv.null_basis
+    assert np.abs(basis @ basis.conj().T - null @ null.conj().T).max() < 1e-10
+
+    radius = np.abs(evals).max()
+    assert integration_steps(liouv, 50.0) == int(np.ceil(200.0 * radius)) > 200
+
+    rho0 = rand_rho(sites, np.random.default_rng(sites))
+    steps = integration_steps(liouv, 0.7)
+    vec = evolve_vector(mat, rho0.matrix.reshape(-1), 0.7, steps)
+    want = vec.reshape(2 ** sites, 2 ** sites)
+    want = (want + want.conj().T) / 2
+    want /= np.trace(want).real
+    assert np.abs(evolve(liouv, rho0, 0.7, steps).matrix - want).max() < 1e-12
+
+
+def test_blocks_that_rho0_misses_stay_zero():
+    liouv = xxz_liouvillian(3, 9)
+    rho0 = DensityMatrix.pure(np.eye(8)[:, 0])
+    out = evolve(liouv, rho0, 0.5, 200).matrix.reshape(-1)
+    (home,) = [idx for idx in liouv.blocks if 0 in idx]
+    rest = np.setdiff1d(np.arange(64), home)
+    assert np.all(out[rest] == 0)
+    assert np.any(out[home[1:]] != 0)
+
+
+def test_pure_dephasing_has_singleton_blocks():
+    n = 2
+    ham = PauliSum.from_letter_terms([(0.7, "ZI"), (0.3, "IZ")])
+    jumps = tuple(
+        JumpChannel(0.5, PauliSum.from_letter_terms([(1.0, w)])) for w in ("ZI", "IZ")
+    )
+    liouv = build_liouvillian(LmeSpec(n, ham, jumps))
+    assert np.count_nonzero(liouv.matrix - np.diag(np.diag(liouv.matrix))) == 0
+    assert [idx.tolist() for idx in liouv.blocks] == [[i] for i in range(4 ** n)]
+    assert spectral_diagnostics(liouv, mixing_probes=2).steady_dim == 2 ** n
+    # the steady space is spanned by the diagonal matrices
+    diagonal = np.arange(2 ** n) * (2 ** n + 1)
+    assert set(np.flatnonzero(np.abs(liouv.null_basis).sum(axis=1))) == set(diagonal)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_zero_generator_null_basis_is_identity(n):
+    liouv = SuperOp(n, np.zeros((4 ** n, 4 ** n), dtype=complex))
+    assert len(liouv.blocks) == 4 ** n
+    assert np.array_equal(liouv.null_basis, np.eye(4 ** n))
+
+
+def test_null_space_rank_rule_uses_global_sigma_max():
+    # each diagonal entry is its own block; 1e-12 is a null direction
+    # against the largest singular value of all blocks, not its own
+    liouv = SuperOp(1, np.diag([1.0, 1e-12, 2.0, 0.0]).astype(complex))
+    assert len(liouv.blocks) == 4
+    want = np.eye(4)[:, [1, 3]]
+    assert np.abs(np.abs(liouv.null_basis) - want).max() < 1e-15
+    assert np.abs(np.abs(_null_space(liouv.matrix)) - want).max() < 1e-15
+
+
+def test_blocks_are_factored_once_each(monkeypatch):
+    liouv = xxz_liouvillian(3, 12)
+    blocks = [liouv.matrix[np.ix_(idx, idx)] for idx in liouv.blocks]
+    calls = {"eig": [], "svd": []}
+
+    def counting(name):
+        inner = getattr(np.linalg, name)
+
+        def wrapper(a, *args, **kwargs):
+            assert a is not liouv.matrix and a.shape != liouv.matrix.shape
+            # the null-space SVD; singular values alone are taken of the
+            # eigenvectors (cond) and of density matrices (trace norm)
+            if name == "eig" or kwargs.get("compute_uv", True):
+                assert any(np.array_equal(blk, a) for blk in blocks)
+                calls[name].append(len(a))
+            return inner(a, *args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counting(name))
+    steady_state(liouv)
+    spectral_diagnostics(liouv, mixing_probes=2)
+    steps = integration_steps(liouv, 1.0)
+    evolve(liouv, DensityMatrix.maximally_mixed(3), 1.0, steps)
+    sizes = sorted(len(idx) for idx in liouv.blocks)
+    assert sorted(calls["eig"]) == sizes and sorted(calls["svd"]) == sizes
 
 
 def test_spectral_report_json_keys():

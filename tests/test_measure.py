@@ -18,6 +18,7 @@ from lgw.measure import (
     estimate_expectation,
     exact_expectation,
     hadamard_sample,
+    observable_norms,
     shot_budget,
     substitute,
     substitute_matrix,
@@ -384,6 +385,20 @@ def test_shot_budget_examples():
     assert n_h == n_s == n // 2
     with pytest.raises(DegenerateObservableError):
         shot_budget(PauliSum.zero(2), 1.0, 0.1)
+
+
+def test_one_word_norm_is_coefficient_modulus(monkeypatch):
+    rng = np.random.default_rng(52)
+    words = [rand_word(n, rng) for n in range(1, 7) for _ in range(4)]
+    cases = [PauliSum(w.n, {w: c}) for w in words for c in (1.0, 0.37, -2.5)]
+    dense = [float(np.abs(np.linalg.eigvalsh(to_matrix(a))).max()) for a in cases]
+
+    def no_eigensolve(*args, **kwargs):
+        raise AssertionError("a one-word norm needs no eigensolve")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolve)
+    for a, want in zip(cases, dense):
+        assert observable_norms(a) == (want, a.frobenius_norm_sq(), 1)
 
 
 def test_bell_amplitude_examples():
