@@ -27,10 +27,8 @@ from .pauli import (
     PauliString,
     PauliSum,
     pauli_decompose,
-    pauli_mul,
     parse_pauli_sum,
     format_pauli_sum,
-    tensor,
     to_matrix,
 )
 from .lindblad import (
@@ -41,7 +39,6 @@ from .lindblad import (
     SuperOp,
     build_ldl,
     build_liouvillian,
-    devectorize,
     evolve,
     runtime_bound,
     spectral_diagnostics,
@@ -72,10 +69,7 @@ from .xl import (
 )
 from .encodings import (
     CircuitSpec,
-    block_hamiltonian,
     circuit_to_lme,
-    clifford_conjugate_observable,
-    exchange_operator,
     feynman_steady_state,
     p1_from_steady,
 )

@@ -83,27 +83,34 @@ def dump_json(path: str, obj) -> None:
 
 
 def _load_observable(path: str) -> PauliSum:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_pauli_sum(fh.read())
+    return lindblad.read_input(path, parse_pauli_sum)
 
 
 def _load_ansatz(path: str) -> xl.LiouvillianAnsatz:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    kind = data.get("type")
-    if kind == "xxz_chain":
-        return xl.LiouvillianAnsatz.xxz_chain(int(data["sites"]))
-    if kind == "full_local_family":
-        return xl.LiouvillianAnsatz.full_local_family(
-            int(data["n"]), int(data["locality"])
-        )
-    if kind == "custom":
-        n = int(data["n"])
-        ham = tuple(
-            lindblad._sum_from_triples(entry, n) for entry in data["hamiltonian"]
-        )
-        jumps = tuple(lindblad._sum_from_triples(entry, n) for entry in data["jumps"])
-        return xl.LiouvillianAnsatz(n, ham, jumps, int(data.get("locality", 2 * n)))
+    data = lindblad.read_input(path)
+    try:
+        kind = data["type"]
+        if kind == "xxz_chain":
+            return xl.LiouvillianAnsatz.xxz_chain(int(data["sites"]))
+        if kind == "full_local_family":
+            return xl.LiouvillianAnsatz.full_local_family(
+                int(data["n"]), int(data["locality"])
+            )
+        if kind == "custom":
+            n = int(data["n"])
+            ham = tuple(
+                lindblad._sum_from_triples(entry, n) for entry in data["hamiltonian"]
+            )
+            jumps = tuple(
+                lindblad._sum_from_triples(entry, n) for entry in data["jumps"]
+            )
+            return xl.LiouvillianAnsatz(
+                n, ham, jumps, int(data.get("locality", 2 * n))
+            )
+    except KeyError as exc:
+        raise ValidationError(f"ansatz is missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"bad ansatz: {exc}") from exc
     raise ValidationError(f"unknown ansatz type {kind!r}")
 
 
@@ -175,11 +182,7 @@ def cmd_pipeline(args) -> int:
     )
 
     gamma = args.gamma if args.gamma is not None else rho_t.purity()
-    if args.shots is not None:
-        total = max(2, args.shots)
-        n_half = total // 2
-    else:
-        _, n_half, _ = measure.shot_budget(observable, gamma, args.eps)
+    n_half = measure.half_shots(observable, gamma, args.shots, args.eps)
     plan = measure.MeasurementPlan.build(observable, n_half, n_half, args.seed)
     estimate = _stage("measure", measure.estimate_expectation, plan, rho_t, gamma)
     exact = _stage("measure_exact", measure.exact_expectation, observable, rho_t)
@@ -212,10 +215,13 @@ def cmd_pipeline(args) -> int:
 def _parse_sizes(text: str) -> list[int]:
     if not text.strip():
         return []
-    if ":" in text:
-        lo, _, hi = text.partition(":")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(p) for p in text.split(",") if p.strip()]
+    try:
+        if ":" in text:
+            lo, _, hi = text.partition(":")
+            return list(range(int(lo), int(hi) + 1))
+        return [int(p) for p in text.split(",") if p.strip()]
+    except ValueError as exc:
+        raise ValidationError(f"bad --sizes {text!r}: {exc}") from exc
 
 
 def cmd_xl_bench(args) -> int:
@@ -365,10 +371,7 @@ def cmd_measure(args) -> int:
         )
     rho = states[0]
     gamma = args.gamma if args.gamma is not None else rho.purity()
-    if args.shots is not None:
-        half = max(1, args.shots // 2)
-    else:
-        _, half, _ = measure.shot_budget(observable, gamma, args.eps)
+    half = measure.half_shots(observable, gamma, args.shots, args.eps)
     plan = measure.MeasurementPlan.build(observable, half, half, args.seed)
     estimate = _stage("measure", measure.estimate_expectation, plan, rho, gamma)
     exact = _stage("measure_exact", measure.exact_expectation, observable, rho)

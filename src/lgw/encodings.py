@@ -1,5 +1,4 @@
-"""Concrete problem instances: clock-register circuit encodings and
-structural operators on the doubled register.
+"""Concrete problem instances: clock-register circuit encodings.
 
 A depth-T circuit on n qubits maps to a purely dissipative master
 equation on n system qubits plus a (T+1)-level clock register embedded
@@ -10,7 +9,6 @@ exactly 1/(T+1).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -21,17 +19,16 @@ from .lindblad import (
     DensityMatrix,
     JumpChannel,
     LmeSpec,
-    SuperOp,
-    exchange_matrix,
     lme_to_json_dict,
+    read_input,
 )
 from .measure import (
     MeasurementPlan,
     estimate_expectation,
     exact_expectation,
-    shot_budget,
+    half_shots,
 )
-from .pauli import PauliString, PauliSum, dense_qubit_cap, pauli_decompose, to_matrix
+from .pauli import PauliString, PauliSum, dense_qubit_cap, pauli_decompose
 
 UNITARY_TOL = 1e-10
 
@@ -97,8 +94,7 @@ class CircuitSpec:
 
 
 def load_circuit(path) -> CircuitSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        return CircuitSpec.from_json_dict(json.load(fh))
+    return CircuitSpec.from_json_dict(read_input(path))
 
 
 @dataclass(frozen=True)
@@ -242,40 +238,8 @@ def p1_from_steady(
     if shots is None and eps is None:
         val = exact_expectation(obs, rho_ss)
     else:
-        if shots is not None:
-            half = max(1, shots // 2)
-        else:
-            _, half, _ = shot_budget(obs, gamma, eps)
+        half = half_shots(obs, gamma, shots, eps)
         plan = MeasurementPlan.build(obs, half, half, seed)
         val = estimate_expectation(plan, rho_ss, gamma).value
     return (1.0 - (depth + 1) * val) / 2.0
 
-
-def block_hamiltonian(liouv: SuperOp) -> np.ndarray:
-    """Hermitian doubling [[0, L], [L^dag, 0]]; the steady vectorization
-    sits in its zero eigenspace and the spectrum is +- the singular
-    values of L."""
-    lmat = liouv.matrix
-    dim = lmat.shape[0]
-    out = np.zeros((2 * dim, 2 * dim), dtype=complex)
-    out[:dim, dim:] = lmat
-    out[dim:, :dim] = lmat.conj().T
-    return out
-
-
-def exchange_operator(n: int) -> SuperOp:
-    """The row/column exchange S as a superoperator: S vec(M) = vec(M^T),
-    S^2 = I; realizable as n pairwise qubit swaps."""
-    if n < 1:
-        raise ValidationError("need at least one qubit")
-    return SuperOp(n, exchange_matrix(n).astype(complex))
-
-
-def clifford_conjugate_observable(a: PauliSum, u_c: np.ndarray) -> PauliSum:
-    """Pull a unitary off the state and onto the observable: A -> U^dag A U."""
-    u_c = np.asarray(u_c, dtype=complex)
-    dim = 2 ** a.n
-    if u_c.shape != (dim, dim):
-        raise DimensionError(f"unitary shape {u_c.shape} does not match {dim}")
-    _check_unitary(u_c, "conjugating unitary")
-    return pauli_decompose(u_c.conj().T @ to_matrix(a) @ u_c)

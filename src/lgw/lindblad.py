@@ -209,12 +209,6 @@ def vectorize(rho: DensityMatrix) -> DmVector:
     return DmVector(rho.n, vec / norm, norm)
 
 
-def devectorize(v: DmVector) -> np.ndarray:
-    """Reconstruct the (rescaled) matrix whose vectorization is v."""
-    dim = 2 ** v.n
-    return (v.amplitudes * v.norm_factor).reshape(dim, dim)
-
-
 def vec_overlap(a: DmVector, b: DmVector) -> complex:
     """<a|b> on normalized vectorizations, i.e. Tr(rho_a^dag rho_b)/(Ca*Cb)."""
     return complex(np.vdot(a.amplitudes, b.amplitudes))
@@ -750,10 +744,23 @@ def lme_from_json_dict(data: dict) -> tuple[LmeSpec, dict]:
         )
     except KeyError as exc:
         raise ValidationError(f"LME spec is missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"bad LME spec: {exc}") from exc
     extras = {k: v for k, v in data.items() if k not in ("n", "hamiltonian", "jumps")}
     return LmeSpec(n, ham, jumps), extras
 
 
+def read_input(path, parse=json.loads):
+    """Parse the text of an input file (as JSON by default); a file that
+    cannot be read or decoded is a ValidationError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse(fh.read())
+    except OSError as exc:
+        raise ValidationError(f"cannot read input: {exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"{path} is malformed: {exc}") from exc
+
+
 def load_lme(path) -> tuple[LmeSpec, dict]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return lme_from_json_dict(json.load(fh))
+    return lme_from_json_dict(read_input(path))

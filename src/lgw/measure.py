@@ -459,3 +459,14 @@ def shot_budget(a: PauliSum, gamma: float, epsilon: float) -> tuple[int, int, in
     n = int(math.ceil(raw))
     n += n % 2
     return n, n // 2, n // 2
+
+
+def half_shots(
+    a: PauliSum, gamma: float, shots: int | None, epsilon: float | None
+) -> int:
+    """Shots for each of the Hadamard and Swap halves: half of ``shots``
+    and at least one, or without ``shots`` the half that ``shot_budget``
+    gives for accuracy ``epsilon``."""
+    if shots is not None:
+        return max(1, shots // 2)
+    return shot_budget(a, gamma, epsilon)[1]

@@ -102,9 +102,6 @@ class PauliString:
             for k in range(self.n)
         )
 
-    def letter(self, k: int) -> str:
-        return _BITS_TO_LETTER[((self.x >> k) & 1, (self.z >> k) & 1)]
-
     @property
     def weight(self) -> int:
         return (self.x | self.z).bit_count()
@@ -161,16 +158,8 @@ class PauliString:
     def __hash__(self) -> int:
         return hash((self.n, self.x, self.z))
 
-    def __lt__(self, other: "PauliString") -> bool:
-        return self.letters < other.letters
-
     def __repr__(self) -> str:
         return f"PauliString({self.letters!r})"
-
-
-def pauli_mul(a: PauliString, b: PauliString) -> tuple[complex, PauliString]:
-    """Exact product of two Pauli words: a*b = phase * word."""
-    return a.mul(b)
 
 
 class PauliSum:
@@ -231,11 +220,6 @@ class PauliSum:
 
     def __iter__(self):
         return iter(self.terms.items())
-
-    def coeff(self, word) -> complex:
-        if isinstance(word, str):
-            word = PauliString.from_letters(word)
-        return self.terms.get(word, 0.0 + 0.0j)
 
     def sorted_terms(self) -> list[tuple[PauliString, complex]]:
         return sorted(self.terms.items(), key=lambda kv: kv[0].letters)
@@ -344,9 +328,6 @@ class PauliSum:
     def hermiticity_defect(self) -> float:
         return max((abs(c.imag) for c in self.terms.values()), default=0.0)
 
-    def trace(self) -> complex:
-        return self.terms.get(PauliString.identity(self.n), 0.0) * (2 ** self.n)
-
     def frobenius_norm_sq(self) -> float:
         """||.||_F^2 = 2^n * sum |c|^2 (Pauli words are F-orthogonal)."""
         return (2 ** self.n) * sum(abs(c) ** 2 for c in self.terms.values())
@@ -370,11 +351,6 @@ class PauliSum:
         if len(self.terms) > 6:
             parts.append(f"... [{len(self.terms)} terms]")
         return "PauliSum(" + " + ".join(parts) + ")"
-
-
-def tensor(a: PauliSum, b: PauliSum) -> PauliSum:
-    """Tensor product; a's qubits come first (most significant)."""
-    return a.tensor(b)
 
 
 def to_matrix(s: PauliSum) -> np.ndarray:

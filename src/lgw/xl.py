@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -143,10 +143,6 @@ class LiouvillianAnsatz:
     def num_jumps(self) -> int:
         return len(self.jump_ops)
 
-    @property
-    def num_unknowns(self) -> int:
-        return self.num_h + 2 * self.num_jumps
-
     def var_names(self) -> list[str]:
         return (
             [f"h_{i}" for i in range(self.num_h)]
@@ -245,7 +241,6 @@ class QuadraticSystem:
     var_names: list[str]
     var_roles: list[str]
     equations: list[dict[Monomial, float]]
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if len(self.var_names) != len(self.var_roles):
@@ -353,7 +348,6 @@ def build_mq_system(
         var_names=ansatz.var_names(),
         var_roles=ansatz.var_roles(),
         equations=equations,
-        meta={"n": ansatz.n, "locality": ansatz.locality},
     )
 
 
@@ -571,19 +565,15 @@ def _extract_univariates(
 
 
 def xl_round(
-    sys_or_equations, d: int
+    equations: list[dict[Monomial, float]], nv: int, d: int
 ) -> tuple[LinearizedSystem, LinearizedSystem, list[tuple[int, np.ndarray]]]:
-    """One extension + linearization + elimination pass.
+    """One extension + linearization + elimination pass over equations
+    in nv variables.
 
     Returns the linearized extension, its echelon form, and the
     univariate rows found.  Raises NeedHigherD when the echelon form is
     consistent but holds no univariate row.
     """
-    if isinstance(sys_or_equations, QuadraticSystem):
-        equations = sys_or_equations.equations
-        nv = sys_or_equations.n_u
-    else:
-        equations, nv = sys_or_equations
     if d < 2:
         raise ValidationError("extension degree must be at least 2")
     extended = extend_equations(equations, nv, d)
@@ -707,7 +697,6 @@ class XlReport:
 @dataclass
 class XlSolution:
     assignment: dict[str, float]
-    values: np.ndarray
     report: XlReport
 
 
@@ -785,13 +774,13 @@ def xl_solve(
                         name: float(values[i])
                         for i, name in enumerate(system.var_names)
                     }
-                    return XlSolution(assignment, values, report)
+                    return XlSolution(assignment, report)
                 break
             univariates = None
             for d in range(2, d_max + 1):
                 try:
                     rounds += 1
-                    lin, ech, univs = xl_round((equations, nv), d)
+                    lin, ech, univs = xl_round(equations, nv, d)
                 except NeedHigherD:
                     continue
                 if first_density is None:
@@ -855,55 +844,3 @@ def verify_solution(
     rebuilt = ansatz.forward_ldl(h_values, rates)
     return rebuilt.max_coeff_diff(target)
 
-
-# -- text serialization ----------------------------------------------------------
-
-
-def system_to_text(system: QuadraticSystem) -> str:
-    lines = []
-    for name, role in zip(system.var_names, system.var_roles):
-        lines.append(f"VAR {name} {role}")
-    for eq in system.equations:
-        parts = []
-        for mono in sorted(eq, key=lambda m: (-len(m), m)):
-            coeff = eq[mono]
-            if mono == ():
-                parts.append(f"{coeff!r}")
-            else:
-                names = "*".join(system.var_names[i] for i in mono)
-                parts.append(f"{coeff!r}*{names}")
-        lines.append("EQ " + " ".join(parts) + " = 0")
-    return "\n".join(lines) + "\n"
-
-
-def system_from_text(text: str) -> QuadraticSystem:
-    names: list[str] = []
-    roles: list[str] = []
-    index: dict[str, int] = {}
-    equations: list[dict[Monomial, float]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("VAR "):
-            _, name, role = line.split()
-            index[name] = len(names)
-            names.append(name)
-            roles.append(role)
-        elif line.startswith("EQ "):
-            body = line[3:]
-            if not body.rstrip().endswith("= 0"):
-                raise ValidationError(f"line {lineno}: equation must end with '= 0'")
-            body = body.rstrip()[: -len("= 0")]
-            eq: dict[Monomial, float] = {}
-            for part in body.split():
-                if "*" in part:
-                    coeff_s, _, mono_s = part.partition("*")
-                    mono = tuple(sorted(index[v] for v in mono_s.split("*")))
-                else:
-                    coeff_s, mono = part, ()
-                eq[mono] = eq.get(mono, 0.0) + float(coeff_s)
-            equations.append(eq)
-        else:
-            raise ValidationError(f"line {lineno}: expected VAR or EQ, got {raw!r}")
-    return QuadraticSystem(names, roles, equations)

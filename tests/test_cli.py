@@ -166,6 +166,77 @@ def test_non_finite_inputs_are_validation_errors(
     assert "finite" in capsys.readouterr().err
 
 
+def _spec_with(tmp, field, value):
+    path = sigma_minus_spec_file(tmp)
+    data = json.loads(path.read_text())
+    if field == "rate":
+        data["jumps"][0]["rate"] = value
+    else:
+        data[field] = value
+    path.write_text(json.dumps(data))
+    return path
+
+
+def _truncated(path):
+    path.write_text(path.read_text()[:25])
+    return path
+
+
+@pytest.mark.parametrize("case", [
+    "rate_not_a_number",
+    "truncated_spec",
+    "n_not_a_number",
+    "missing_spec",
+    "bad_sizes",
+    "ansatz_without_sites",
+    "truncated_circuit",
+])
+def test_malformed_inputs_are_one_line_validation_errors(
+    one_site_files, capsys, case
+):
+    tmp, target, ansatz, obs = one_site_files
+    if case == "rate_not_a_number":
+        args = ["verify", "--spec", str(_spec_with(tmp, "rate", "abc"))]
+    elif case == "truncated_spec":
+        args = ["verify", "--spec", str(_truncated(sigma_minus_spec_file(tmp)))]
+    elif case == "n_not_a_number":
+        args = ["verify", "--spec", str(_spec_with(tmp, "n", "one"))]
+    elif case == "missing_spec":
+        args = ["verify", "--spec", str(tmp / "missing.json")]
+    elif case == "bad_sizes":
+        args = ["xl-bench", "--sizes", "5:x"]
+    elif case == "ansatz_without_sites":
+        ansatz.write_text(json.dumps({"type": "xxz_chain"}))
+        args = ["pipeline", "--target", str(target), "--ansatz", str(ansatz),
+                "--observable", str(obs)]
+    else:
+        circuit = tmp / "circuit.json"
+        circuit.write_text(json.dumps(
+            {"n": 1, "layers": [[[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]]}
+        ))
+        args = ["encode-circuit", "--circuit", str(_truncated(circuit))]
+    assert cli.main(args + ["--out", str(tmp / "r")]) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error")
+
+
+@pytest.mark.parametrize("shots", [0, 1, 3, 4])
+def test_measure_and_pipeline_split_shots_alike(one_site_files, shots):
+    tmp, target, ansatz, obs = one_site_files
+    spec = sigma_minus_spec_file(tmp)
+    runs = {
+        "measure_report.json": ["measure", "--spec", str(spec)],
+        "pipeline_report.json": ["pipeline", "--target", str(target),
+                                 "--ansatz", str(ansatz)],
+    }
+    for report, args in runs.items():
+        out = tmp / report
+        assert cli.main(args + ["--observable", str(obs), "--shots", str(shots),
+                                "--out", str(out)]) == cli.EXIT_OK
+        data = json.loads((out / report).read_text())
+        assert data["estimate"]["shots"] == 2 * max(1, shots // 2)
+
+
 def test_steady_and_measure_commands(tmp_path):
     path = sigma_minus_spec_file(tmp_path)
     assert cli.main(["steady", "--spec", str(path), "--out", str(tmp_path)]) \

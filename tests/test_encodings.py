@@ -3,14 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from conftest import random_unitary, sigma_minus_spec
+from conftest import random_unitary
 from lgw.encodings import (
     CircuitSpec,
-    block_hamiltonian,
     circuit_to_lme,
-    clifford_conjugate_observable,
     clock_qubit_count,
-    exchange_operator,
     feynman_steady_state,
     final_qubit_one_observable,
     p1_from_steady,
@@ -21,11 +18,9 @@ from lgw.lindblad import (
     build_liouvillian,
     steady_state,
     trace_norm,
-    vectorize,
     verify_ldl_properties,
 )
 from lgw.measure import exact_expectation
-from lgw.pauli import PauliSum, to_matrix
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 HAD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -162,67 +157,6 @@ def test_p1_budget_from_accuracy_target():
     # the budget targets the doubled-register expectation at eps, which
     # enters p1 scaled by (T+1)/2
     assert np.sqrt(np.mean((vals - 0.5) ** 2)) <= 0.04
-
-
-def test_block_hamiltonian_structure():
-    liouv = build_liouvillian(sigma_minus_spec())
-    block = block_hamiltonian(liouv)
-    assert np.abs(block - block.conj().T).max() < 1e-12
-    svals = np.linalg.svd(liouv.matrix, compute_uv=False)
-    evals = np.linalg.eigvalsh(block)
-    assert np.allclose(sorted(evals), sorted(np.concatenate([svals, -svals])),
-                       atol=1e-10)
-    rho_ss = steady_state(liouv)[0]
-    v = vectorize(rho_ss).amplitudes
-    doubled = np.concatenate([np.zeros_like(v), v])
-    assert np.linalg.norm(block @ doubled) < 1e-9
-
-
-def test_block_hamiltonian_zero_generator():
-    from lgw.lindblad import SuperOp
-
-    zero = SuperOp(1, np.zeros((4, 4), dtype=complex))
-    assert np.abs(block_hamiltonian(zero)).max() == 0.0
-
-
-def test_exchange_operator_basics():
-    s1 = exchange_operator(1).matrix
-    ket01 = np.zeros(4)
-    ket01[1] = 1.0   # vec(|0><1|)
-    ket10 = np.zeros(4)
-    ket10[2] = 1.0   # vec(|1><0|)
-    assert np.array_equal(s1 @ ket01, ket10)
-    assert np.array_equal(s1 @ s1, np.eye(4))
-    rng = np.random.default_rng(5)
-    s2 = exchange_operator(2).matrix
-    m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    assert np.array_equal(s2 @ m.reshape(-1), m.T.reshape(-1))
-
-
-def test_clifford_conjugation():
-    a = PauliSum.from_letter_terms([(1.0, "ZI")])
-    assert clifford_conjugate_observable(a, np.eye(4)).max_coeff_diff(a) == 0.0
-    flip = np.kron(X, np.eye(2))
-    conj = clifford_conjugate_observable(a, flip)
-    assert conj.max_coeff_diff(PauliSum.from_letter_terms([(-1.0, "ZI")])) < 1e-12
-    with pytest.raises(ValidationError):
-        clifford_conjugate_observable(a, np.diag([1.0, 2.0, 1.0, 1.0]))
-
-
-def test_clifford_conjugation_dual_path():
-    rng = np.random.default_rng(6)
-    from conftest import rand_hermitian_sum, rand_rho
-
-    n = 1  # doubled register of a single system qubit
-    a = rand_hermitian_sum(2 * n, rng, 4)
-    u = random_unitary(4, rng)
-    rho = rand_rho(n, rng)
-    conj = clifford_conjugate_observable(a, u)
-    lhs = exact_expectation(conj, rho)
-    v = vectorize(rho).amplitudes
-    rotated = u @ v
-    rhs = float(np.vdot(rotated, to_matrix(a) @ rotated).real)
-    assert abs(lhs - rhs) < 1e-10
 
 
 def test_clock_export_carries_dimension():

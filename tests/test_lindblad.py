@@ -27,7 +27,6 @@ from lgw.lindblad import (
     _null_space,
     build_ldl,
     build_liouvillian,
-    devectorize,
     evolve,
     evolve_vector,
     exchange_conjugate,
@@ -188,12 +187,6 @@ def test_vectorize_inner_product_is_trace():
             np.linalg.norm(r1.matrix) * np.linalg.norm(r2.matrix)
         )
         assert abs(lhs - expect) < 1e-12
-
-
-def test_devectorize_roundtrip():
-    rng = np.random.default_rng(18)
-    rho = rand_rho(2, rng)
-    assert np.abs(devectorize(vectorize(rho)) - rho.matrix).max() < 1e-13
 
 
 def test_vectorize_zero_matrix_rejected():

@@ -12,8 +12,6 @@ from lgw.pauli import (
     format_pauli_sum,
     parse_pauli_sum,
     pauli_decompose,
-    pauli_mul,
-    tensor,
     to_matrix,
 )
 
@@ -23,22 +21,20 @@ SWAP_PATTERN = np.array(
 
 
 def test_mul_xy_is_iz():
-    phase, word = pauli_mul(
-        PauliString.from_letters("X"), PauliString.from_letters("Y")
-    )
+    phase, word = PauliString.from_letters("X").mul(PauliString.from_letters("Y"))
     assert phase == 1j and word.letters == "Z"
 
 
 def test_mul_identity_case():
     p = PauliString.from_letters("XYZI")
-    phase, word = pauli_mul(PauliString.identity(4), p)
+    phase, word = PauliString.identity(4).mul(p)
     assert phase == 1 and word == p
 
 
 def test_mul_xz_zx_dense_oracle():
     a = PauliString.from_letters("XZ")
     b = PauliString.from_letters("ZX")
-    phase, word = pauli_mul(a, b)
+    phase, word = a.mul(b)
     assert word.letters == "YY"
     assert np.array_equal(a.to_matrix() @ b.to_matrix(), phase * word.to_matrix())
 
@@ -48,28 +44,30 @@ def test_mul_dense_consistency_random():
     for _ in range(60):
         n = int(rng.integers(1, 5))
         a, b = rand_word(n, rng), rand_word(n, rng)
-        phase, word = pauli_mul(a, b)
+        phase, word = a.mul(b)
         # Pauli matrices are monomial, so the identity is exact
         assert np.array_equal(a.to_matrix() @ b.to_matrix(), phase * word.to_matrix())
 
 
 def test_mul_dimension_mismatch():
     with pytest.raises(DimensionError):
-        pauli_mul(PauliString.from_letters("X"), PauliString.from_letters("XX"))
+        PauliString.from_letters("X").mul(PauliString.from_letters("XX"))
 
 
 def test_tensor_trivial():
     a = PauliSum.from_letter_terms([(1.0, "X")])
     b = PauliSum.from_letter_terms([(1.0, "Z")])
-    out = tensor(a, b)
-    assert out.n == 2 and out.coeff("XZ") == 1.0
+    out = a.tensor(b)
+    assert out.n == 2 and out.terms.get(PauliString.from_letters("XZ")) == 1.0
 
 
 def test_tensor_distributes():
     a = PauliSum.from_letter_terms([(0.5, "II"), (0.5, "XX")])
     b = PauliSum.from_letter_terms([(1.0, "I")])
-    out = tensor(a, b)
-    assert out.coeff("III") == 0.5 and out.coeff("XXI") == 0.5 and len(out) == 2
+    out = a.tensor(b)
+    assert len(out) == 2
+    for letters in ("III", "XXI"):
+        assert out.terms.get(PauliString.from_letters(letters)) == 0.5
 
 
 def test_tensor_kron_oracle():
@@ -78,7 +76,7 @@ def test_tensor_kron_oracle():
         a = rand_pauli_sum(1, rng, terms=3)
         b = rand_pauli_sum(1, rng, terms=2)
         expect = np.kron(to_matrix(a), to_matrix(b))
-        assert np.abs(to_matrix(tensor(a, b)) - expect).max() < 1e-12
+        assert np.abs(to_matrix(a.tensor(b)) - expect).max() < 1e-12
 
 
 def test_to_matrix_z():
@@ -125,13 +123,13 @@ def test_qubit_zero_is_most_significant():
 
 def test_decompose_identity():
     out = pauli_decompose(np.eye(2))
-    assert len(out) == 1 and out.coeff("I") == 1.0
+    assert len(out) == 1 and out.terms.get(PauliString.from_letters("I")) == 1.0
 
 
 def test_decompose_swap_pattern():
     out = pauli_decompose(SWAP_PATTERN)
     for letters in ("II", "XX", "YY", "ZZ"):
-        assert abs(out.coeff(letters) - 0.5) < 1e-15
+        assert abs(out.terms.get(PauliString.from_letters(letters)) - 0.5) < 1e-15
     assert len(out) == 4
 
 
@@ -267,9 +265,3 @@ def test_unitarity_defect_matches_loop_on_random_sums():
             want = loop_unitarity_defect(q)
             # the summation order differs from the loop's
             assert abs(q.unitarity_defect() - want) <= 1e-12 * max(1.0, want)
-
-
-def test_lexicographic_word_order():
-    a = PauliString.from_letters("IX")
-    b = PauliString.from_letters("XI")
-    assert a < b
