@@ -28,7 +28,7 @@ from .errors import (
     ValidationError,
     WorkbenchError,
 )
-from .pauli import PauliSum, parse_pauli_sum, pauli_decompose
+from .pauli import PauliString, PauliSum, parse_pauli_sum, pauli_decompose
 
 DEFAULT_SEED = 0x4C4D4531
 
@@ -283,11 +283,15 @@ def cmd_verify(args) -> int:
     props = lindblad.verify_ldl_properties(ldl, liouv)
     spectral = lindblad.spectral_diagnostics(liouv, mixing_probes=3, seed=args.seed)
 
-    table = measure.build_table()
+    # each brute-force entry against its own matrix and against the
+    # closed-form substitute that the estimator uses
     table_ok = True
-    for entry in table.entries.values():
-        if np.abs(entry.b.to_matrix() - entry.matrix).max() > 1e-12:
-            table_ok = False
+    for word, entry in measure.build_table().items():
+        closed = measure.substitute_pauli(PauliString.from_letters(word))
+        table_ok &= bool(
+            np.abs(entry.b.to_matrix() - entry.matrix).max() <= 1e-12
+            and closed.max_coeff_diff(entry.b) <= 1e-12
+        )
 
     rng = np.random.default_rng(args.seed)
     spot_err = 0.0

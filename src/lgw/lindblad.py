@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -193,20 +193,19 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class DmVector:
-    """Normalized vectorization of a density matrix with its norm factor."""
+    """Normalized vectorization of a density matrix."""
 
     n: int
     amplitudes: np.ndarray
-    norm_factor: float
 
 
 def vectorize(rho: DensityMatrix) -> DmVector:
-    """Flatten rho row-major and normalize; the norm factor is ||rho||_F."""
+    """Flatten rho row-major and normalize by ||rho||_F."""
     vec = rho.matrix.reshape(-1)
     norm = float(np.linalg.norm(vec))
     if norm < 1e-300:
         raise NormalizationError("cannot vectorize the zero matrix")
-    return DmVector(rho.n, vec / norm, norm)
+    return DmVector(rho.n, vec / norm)
 
 
 def vec_overlap(a: DmVector, b: DmVector) -> complex:
@@ -653,18 +652,7 @@ class LdlPropertyReport:
         return all(checks)
 
     def to_json_dict(self) -> dict:
-        return {
-            "min_eigenvalue": self.min_eigenvalue,
-            "ground_energy": self.ground_energy,
-            "ground_dim": self.ground_dim,
-            "st_commutator_norm": self.st_commutator_norm,
-            "steady_dim": self.steady_dim,
-            "spectrum_nonnegative": self.spectrum_nonnegative,
-            "ground_energy_zero": self.ground_energy_zero,
-            "st_symmetric": self.st_symmetric,
-            "ground_matches_steady": self.ground_matches_steady,
-            "all_passed": self.all_passed,
-        }
+        return {**asdict(self), "all_passed": self.all_passed}
 
 
 def verify_ldl_properties(

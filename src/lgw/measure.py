@@ -5,18 +5,20 @@ operator B, obtained by a pure index permutation, such that
 
     <rho|A|rho> = Tr(B rho(x)rho) / Tr(rho^2).
 
-Pauli words map to unitary substitutes pair by pair (row qubit k with
-column qubit k), so the numerator is a weighted sum of Hadamard-test
-expectations and the denominator is a Swap-test expectation.  This
-module provides the exact table, exact evaluation, shot-level sampling
-of both tests, and the ratio estimator with its bias/variance/MSE
+A Pauli word A = P (x) Q has the unitary substitute s A SWAP, with SWAP
+exchanging the two copies and s = (-1)^(Y letters of Q), so the numerator
+is a weighted sum of Hadamard-test expectations and the denominator is a
+Swap-test expectation.  This module provides the closed-form
+substitutes, the 16-entry two-qubit table generated by brute force from
+the index rule as their oracle, exact evaluation, shot-level sampling of
+both tests, and the ratio estimator with its bias/variance/MSE
 accounting.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -34,30 +36,6 @@ from .pauli import LETTERS, PauliString, PauliSum, pauli_decompose, to_matrix
 # Stream ids keep the counter-based generators independent: Hadamard
 # term i draws from stream i, the Swap test from its own named stream.
 SWAP_TEST_STREAM = 0x53574150
-
-# Swap-gate realizations of the 16 substitutes: (copy-1 gate, copy-2
-# gate) applied before a swap.  Kept as documentation metadata; the
-# scalar-prefixed labels ("iY", "-Y") are exact matrices, their physical
-# realization is not this module's concern.
-SUBSTITUTE_CIRCUITS = {
-    "II": ("I", "I"),
-    "XX": ("X", "X"),
-    "YY": ("iY", "iY"),
-    "ZZ": ("Z", "Z"),
-    "IX": ("X", "I"),
-    "XI": ("I", "X"),
-    "YZ": ("Z", "Y"),
-    "ZY": ("iY", "iZ"),
-    "IY": ("-Y", "I"),
-    "YI": ("I", "Y"),
-    "XZ": ("Z", "X"),
-    "ZX": ("X", "Z"),
-    "IZ": ("Z", "I"),
-    "ZI": ("I", "Z"),
-    "XY": ("iY", "iX"),
-    "YX": ("X", "Y"),
-}
-
 
 def _rng(seed: int, stream: int) -> np.random.Generator:
     key = np.array([seed & 0xFFFFFFFFFFFFFFFF, stream & 0xFFFFFFFFFFFFFFFF],
@@ -82,21 +60,9 @@ def substitute_matrix(amat: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TableEntry:
-    a_word: str
     b: PauliSum
     matrix: np.ndarray
     eigenvalues: tuple[complex, ...]
-    circuit: tuple[str, str]
-
-
-@dataclass(frozen=True)
-class SubstituteTable:
-    """The 16 two-qubit Pauli words and their unitary substitutes."""
-
-    entries: dict[str, TableEntry]
-
-    def __getitem__(self, a_word: str) -> TableEntry:
-        return self.entries[a_word]
 
 
 def _eig_multiset(mat: np.ndarray) -> tuple[complex, ...]:
@@ -106,8 +72,9 @@ def _eig_multiset(mat: np.ndarray) -> tuple[complex, ...]:
 
 
 @lru_cache(maxsize=1)
-def build_table() -> SubstituteTable:
-    """Generate all 16 substitutes by brute force from the index rule."""
+def build_table() -> dict[str, TableEntry]:
+    """Generate all 16 two-qubit substitutes by brute force from the index
+    rule; the oracle that ``substitute_pauli`` is checked against."""
     entries = {}
     for r in LETTERS:
         for c in LETTERS:
@@ -120,51 +87,42 @@ def build_table() -> SubstituteTable:
                 raise WorkbenchError(
                     f"substitute of {word} failed unitarity by {unit_defect:.3e}"
                 )
-            entries[word] = TableEntry(
-                a_word=word,
-                b=bsum,
-                matrix=bmat,
-                eigenvalues=_eig_multiset(bmat),
-                circuit=SUBSTITUTE_CIRCUITS[word],
-            )
-    return SubstituteTable(entries)
+            entries[word] = TableEntry(bsum, bmat, _eig_multiset(bmat))
+    return entries
 
 
-def _split_halves(word: PauliString) -> tuple[str, str]:
-    letters = word.letters
-    half = word.n // 2
-    return letters[:half], letters[half:]
+@lru_cache(maxsize=None)
+def _swap(half: int) -> PauliSum:
+    """SWAP of copy 1 (qubits 0..half-1) with copy 2 (qubits half..): the
+    product of (II + XX + YY + ZZ)/2 over the qubit pairs (k, half + k)."""
+    n = 2 * half
+    out = PauliSum.identity(n)
+    for k in range(half):
+        pair = 1 << k | 1 << (half + k)
+        out = out @ PauliSum(n, {
+            PauliString(n, x * pair, z * pair): 0.5
+            for x, z in ((0, 0), (1, 0), (1, 1), (0, 1))
+        })
+    return out
 
 
 def substitute_pauli(word: PauliString) -> PauliSum:
     """Unitary substitute of one doubled-register Pauli word.
 
-    Row qubit k pairs with column qubit k; each pair maps through the
-    16-entry table and the pair substitutes tensor together (copy-1
-    qubits first, copy-2 qubits after).
+    For A = P (x) Q (row half P, column half Q) the substitute is
+    B = (P (x) Q^T) SWAP = s A SWAP, with s = (-1)^(Y letters of Q).  Terms
+    are ordered by their copy-1 letters.
     """
     if word.n % 2:
         raise DimensionError(
             f"cannot pair qubits of an odd-width word (n={word.n})"
         )
     half = word.n // 2
-    table = build_table()
-    row, col = _split_halves(word)
-    # accumulate (copy1 letters, copy2 letters, coeff) across pairs
-    partial: list[tuple[str, str, complex]] = [("", "", 1.0 + 0.0j)]
-    for k in range(half):
-        entry = table[row[k] + col[k]]
-        grown = []
-        for l1, l2, coeff in partial:
-            for pair_word, pair_coeff in entry.b.terms.items():
-                pl = pair_word.letters
-                grown.append((l1 + pl[0], l2 + pl[1], coeff * pair_coeff))
-        partial = grown
-    terms: dict[PauliString, complex] = {}
-    for l1, l2, coeff in partial:
-        w = PauliString.from_letters(l1 + l2)
-        terms[w] = terms.get(w, 0.0) + coeff
-    return PauliSum(word.n, terms)
+    col = PauliString(half, word.x >> half, word.z >> half)
+    b = PauliSum.from_term(word, col.transpose_sign) @ _swap(half)
+    return PauliSum(word.n, dict(
+        sorted(b.terms.items(), key=lambda kv: kv[0].letters[:half])
+    ))
 
 
 def substitute_terms(a: PauliSum) -> list[tuple[float, PauliString, PauliSum]]:
@@ -315,8 +273,14 @@ class MeasurementPlan:
               ) -> "MeasurementPlan":
         if n_h < 1 or n_s < 1:
             raise ValidationError("shot counts must be at least 1")
-        if len(observable) < 1:
+        m = len(observable)
+        if m < 1:
             raise DegenerateObservableError("observable has no terms")
+        if n_h < m:
+            raise ValidationError(
+                f"the observable has {m} terms and needs one Hadamard shot "
+                f"per term: at least {m} (--shots {2 * m}), got {n_h}"
+            )
         if not observable.is_hermitian(1e-12):
             raise ValidationError("observable weights must be real")
         triples = substitute_terms(observable)
@@ -355,9 +319,6 @@ class MeasurementPlan:
         }
 
 
-ESTIMATE_CSV_HEADER = "value,numerator,purity,bias_bound,var_bound,mse_bound,shots"
-
-
 @dataclass(frozen=True)
 class EstimateReport:
     value: float
@@ -369,22 +330,13 @@ class EstimateReport:
     shots: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "numerator": self.numerator,
-            "purity": self.purity,
-            "bias_bound": self.bias_bound,
-            "var_bound": self.var_bound,
-            "mse_bound": self.mse_bound,
-            "shots": self.shots,
-        }
+        return asdict(self)
 
     def to_csv_row(self) -> str:
-        return (
-            f"{self.value!r},{self.numerator!r},{self.purity!r},"
-            f"{self.bias_bound!r},{self.var_bound!r},{self.mse_bound!r},"
-            f"{self.shots}"
-        )
+        return ",".join(map(repr, astuple(self)))
+
+
+ESTIMATE_CSV_HEADER = ",".join(f.name for f in fields(EstimateReport))
 
 
 def observable_norms(a: PauliSum) -> tuple[float, float, int]:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -41,6 +41,7 @@ PIVOT_RTOL = 1e-12                  # entries below rtol * row max count as zero
 INFEASIBLE_TOL = 1e-8               # 0 = c rows with |c| above this are fatal
 SUBST_PRUNE_TOL = 1e-6              # residual allowed when an equation closes
 ROOT_IMAG_TOL = 1e-8
+RESIDUAL_TOL = 1e-8                 # largest residual of a returned assignment
 DEFAULT_NODE_BUDGET = 10_000
 EXACT_COLUMN_CAP = 200              # rational elimination stays small
 
@@ -682,16 +683,7 @@ class XlReport:
     matrix_density: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "n_e": self.n_e,
-            "n_u": self.n_u,
-            "d_used": self.d_used,
-            "rounds": self.rounds,
-            "nodes": self.nodes,
-            "residual": self.residual,
-            "wall_time_ms": self.wall_time_ms,
-            "matrix_density": self.matrix_density,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -704,7 +696,6 @@ def xl_solve(
     system: QuadraticSystem,
     d_max: int = 4,
     node_budget: int = DEFAULT_NODE_BUDGET,
-    residual_tol: float = 1e-8,
 ) -> XlSolution:
     """Solve an over-defined quadratic system by repeated rounds of
     extension, elimination and univariate back-substitution.
@@ -714,7 +705,7 @@ def xl_solve(
     residual each root leaves behind.  Branches die on inconsistent
     rows, on residuals above the prune threshold, or when no univariate
     appears up to ``d_max``.  A returned assignment always satisfies the
-    original equations to ``residual_tol`` with rates fixed to w_i^2.
+    original equations to ``RESIDUAL_TOL`` with rates fixed to w_i^2.
     """
     if d_max < 2:
         raise ValidationError("d_max must be at least 2")
@@ -759,7 +750,7 @@ def xl_solve(
                     if lam_index is not None:
                         values[lam_index] = values[w_index] ** 2
                 residual = float(np.abs(system.residuals(values)).max())
-                if residual <= residual_tol:
+                if residual <= RESIDUAL_TOL:
                     report = XlReport(
                         n_e=system.n_e,
                         n_u=nv,

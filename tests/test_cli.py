@@ -237,6 +237,30 @@ def test_measure_and_pipeline_split_shots_alike(one_site_files, shots):
         assert data["estimate"]["shots"] == 2 * max(1, shots // 2)
 
 
+@pytest.mark.parametrize("command", ["measure", "pipeline"])
+@pytest.mark.parametrize("shots", [1, 2, 3, 4])
+def test_shots_below_one_per_term_is_one_line_error(
+    one_site_files, capsys, command, shots
+):
+    tmp, target, ansatz, _ = one_site_files
+    obs = tmp / "two_terms.txt"
+    obs.write_text(format_pauli_sum(
+        PauliSum.from_letter_terms([(1.0, "ZZ"), (0.3, "XX")])
+    ))
+    if command == "measure":
+        args = ["measure", "--spec", str(sigma_minus_spec_file(tmp))]
+    else:
+        args = ["pipeline", "--target", str(target), "--ansatz", str(ansatz)]
+    code = cli.main(args + ["--observable", str(obs), "--shots", str(shots),
+                            "--out", str(tmp / "r")])
+    if shots < 4:
+        assert code == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "2 terms" in err[0]
+    else:
+        assert code == cli.EXIT_OK
+
+
 def test_steady_and_measure_commands(tmp_path):
     path = sigma_minus_spec_file(tmp_path)
     assert cli.main(["steady", "--spec", str(path), "--out", str(tmp_path)]) \

@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
 
@@ -27,7 +30,13 @@ from lgw.measure import (
     swap_sample,
     trace_with_two_copies,
 )
-from lgw.pauli import PauliString, PauliSum, pauli_decompose, to_matrix
+from lgw.pauli import (
+    PAULI_MATRICES,
+    PauliString,
+    PauliSum,
+    pauli_decompose,
+    to_matrix,
+)
 
 I2 = 1j
 
@@ -72,17 +81,6 @@ TABLE_MATRICES = {
     "YX": [[0, 0, 0, -I2], [0, -I2, 0, 0], [0, 0, I2, 0], [I2, 0, 0, 0]],
 }
 
-GATE_MATRICES = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.diag([1.0 + 0j, -1.0]),
-}
-GATE_MATRICES.update(
-    {f"i{k}": 1j * v for k, v in list(GATE_MATRICES.items())}
-)
-GATE_MATRICES["-Y"] = -GATE_MATRICES["Y"]
-
 SWAP = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
 )
@@ -114,23 +112,22 @@ def test_table_matches_reference_matrices():
 
 
 def test_table_unitarity():
-    for entry in build_table().entries.values():
+    for entry in build_table().values():
         assert np.abs(
             entry.matrix.conj().T @ entry.matrix - np.eye(4)
         ).max() < 1e-12
 
 
 def test_table_brute_force_and_string_paths_agree():
-    for entry in build_table().entries.values():
+    for entry in build_table().values():
         assert np.abs(to_matrix(entry.b) - entry.matrix).max() < 1e-13
 
 
 def test_table_swap_gate_circuits():
-    # each stored circuit is (gate (x) gate) followed by a swap
-    table = build_table()
-    for word, entry in table.entries.items():
-        g1, g2 = entry.circuit
-        circuit = SWAP @ np.kron(GATE_MATRICES[g1], GATE_MATRICES[g2])
+    # the substitute of P (x) Q is the gate Q^T (x) P followed by a swap
+    for word, entry in build_table().items():
+        p, q = (PAULI_MATRICES[letter] for letter in word)
+        circuit = SWAP @ np.kron(q.T, p)
         assert np.abs(circuit - entry.matrix).max() < 1e-14, word
 
 
@@ -138,7 +135,7 @@ def test_table_eq5_soundness_random_states():
     rng = np.random.default_rng(40)
     table = build_table()
     states = [rand_rho(1, rng) for _ in range(60)]
-    for word, entry in table.entries.items():
+    for word, entry in table.items():
         a = PauliSum.from_letter_terms([(1.0, word)])
         for rho in states:
             lhs = trace_with_two_copies(entry.b, rho).real / rho.purity()
@@ -158,6 +155,32 @@ def test_substitute_matrix_is_pure_reshuffle():
 def test_substitute_zz_matches_table_row():
     q = substitute_pauli(PauliString.from_letters("ZZ"))
     assert q.max_coeff_diff(build_table()["ZZ"].b) < 1e-14
+
+
+def test_substitute_pauli_matches_dense_rule():
+    # closed form s A SWAP against the index permutation, term by term
+    rng = np.random.default_rng(73)
+    words = [PauliString.from_letters("".join(t))
+             for t in itertools.product("IXYZ", repeat=4)]
+    words += [rand_word(n, rng) for n in (6, 8) for _ in range(50)]
+    for word in words:
+        dense = pauli_decompose(substitute_matrix(word.to_matrix()))
+        assert substitute_pauli(word).max_coeff_diff(dense) <= 1e-14, word
+
+
+def test_substitute_pauli_digest():
+    # pins values, term order and signed zeros of every substitute on 2, 4
+    # and 6 doubled qubits
+    lines = []
+    for n in (2, 4, 6):
+        for letters in itertools.product("IXYZ", repeat=n):
+            word = "".join(letters)
+            for term, c in substitute_pauli(PauliString.from_letters(word)):
+                lines.append(f"{word} {term.letters} {c.real!r} {c.imag!r}")
+    assert len(lines) == 266_304
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "6c04fd2b4ef104920fd8793b224a1b11c91d29c73d65b95389ad36897f8b1856"
+    )
 
 
 def test_substitute_identity_gives_purity():
