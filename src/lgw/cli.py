@@ -19,7 +19,7 @@ import warnings
 
 import numpy as np
 
-from . import encodings, lindblad, measure, xl
+from . import encodings, lindblad, measure, pauli, xl
 from .errors import (
     BudgetExceededError,
     NoSteadyStateError,
@@ -312,7 +312,7 @@ def cmd_verify(args) -> int:
         ("spectrum_nonnegative", props.spectrum_nonnegative),
         ("ground_energy_zero", props.ground_energy_zero),
         ("st_symmetric", props.st_symmetric),
-        ("ground_matches_steady", bool(props.ground_matches_steady)),
+        ("ground_matches_steady", props.ground_matches_steady),
         ("spectrum_left_half_plane",
          bool(np.max(spectral.eigenvalues.real) <= 1e-9)),
         ("substitute_table", table_ok),
@@ -418,8 +418,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="lgw",
         description=(
             "Dissipation-driven ground-state workbench. The default seed is "
-            f"0x{DEFAULT_SEED:08X}; LG_DENSE_CAP overrides the dense-matrix "
-            "qubit cap."
+            f"0x{DEFAULT_SEED:08X}; dense matrices are capped at "
+            f"{pauli.DENSE_QUBIT_CAP} qubits (6-qubit generators)."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, DimensionError, ValidationError
+from .errors import DimensionError, ValidationError
 from .lindblad import (
     DensityMatrix,
     JumpChannel,
@@ -28,7 +28,7 @@ from .measure import (
     exact_expectation,
     half_shots,
 )
-from .pauli import PauliString, PauliSum, dense_qubit_cap, pauli_decompose
+from .pauli import PauliString, PauliSum, check_dense, pauli_decompose
 
 UNITARY_TOL = 1e-10
 
@@ -143,11 +143,7 @@ def circuit_to_lme(circuit: CircuitSpec) -> ClockLme:
     n, t_depth = circuit.n, circuit.depth
     q = clock_qubit_count(t_depth)
     n_tot = n + q
-    if 2 * n_tot > dense_qubit_cap():
-        raise CapacityError(
-            f"clock encoding needs {n_tot} qubits ({2 * n_tot} doubled), "
-            f"cap is {dense_qubit_cap()}"
-        )
+    check_dense(2 * n_tot)
     sys_dim = 2 ** n
     sys_eye = np.eye(sys_dim, dtype=complex)
     lower = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |0><1|

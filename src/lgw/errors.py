@@ -10,7 +10,7 @@ class DimensionError(WorkbenchError):
 
 
 class CapacityError(WorkbenchError):
-    """A dense realization would exceed the configured qubit cap."""
+    """A dense realization would exceed the fixed qubit cap."""
 
 
 class ValidationError(WorkbenchError):

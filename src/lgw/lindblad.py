@@ -18,7 +18,6 @@ import numpy as np
 import scipy.linalg
 
 from .errors import (
-    CapacityError,
     DimensionError,
     InstabilityError,
     NormalizationError,
@@ -26,7 +25,7 @@ from .errors import (
     ValidationError,
     WorkbenchError,
 )
-from .pauli import PauliString, PauliSum, dense_qubit_cap, pauli_decompose, to_matrix
+from .pauli import PauliString, PauliSum, check_dense, pauli_decompose, to_matrix
 
 NULL_SPACE_RTOL = 1e-10       # singular values below rtol*s_max span the null space
 HERMITICITY_TOL = 1e-10
@@ -117,7 +116,7 @@ class SuperOp:
     @cached_property
     def null_basis(self) -> np.ndarray:
         """Orthonormal right null-space basis (columns), by one SVD per block."""
-        return _block_null_space(self.block_matrices(), self.blocks, NULL_SPACE_RTOL)
+        return _block_null_space(self.block_matrices(), self.blocks)
 
 
 def _components(mask: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -216,14 +215,6 @@ def vec_overlap(a: DmVector, b: DmVector) -> complex:
 # -- generator construction ---------------------------------------------
 
 
-def _check_super_cap(n: int) -> None:
-    if 2 * n > dense_qubit_cap():
-        raise CapacityError(
-            f"superoperator for n={n} needs {2 * n} dense qubits, "
-            f"cap is {dense_qubit_cap()}"
-        )
-
-
 def build_liouvillian(spec: LmeSpec) -> SuperOp:
     """Dense generator of the master equation on vectorized matrices.
 
@@ -231,7 +222,7 @@ def build_liouvillian(spec: LmeSpec) -> SuperOp:
     - I(x)(F^T F^*)/2); the vectorized identity is always a left null
     vector (trace preservation).
     """
-    _check_super_cap(spec.n)
+    check_dense(2 * spec.n)
     dim = 2 ** spec.n
     eye = np.eye(dim, dtype=complex)
     h = to_matrix(spec.hamiltonian)
@@ -335,16 +326,16 @@ def exchange_matrix(n: int) -> np.ndarray:
 # -- steady states -------------------------------------------------------
 
 
-def _null_space(matrix: np.ndarray, rtol: float = NULL_SPACE_RTOL) -> np.ndarray:
+def _null_space(matrix: np.ndarray) -> np.ndarray:
     """Orthonormal right null-space basis (columns) by SVD."""
-    return _block_null_space([matrix], [np.arange(matrix.shape[1])], rtol)
+    return _block_null_space([matrix], [np.arange(matrix.shape[1])])
 
 
-def _block_null_space(mats, blocks, rtol: float) -> np.ndarray:
+def _block_null_space(mats, blocks) -> np.ndarray:
     """Null-space basis of the block-diagonal matrix whose block on the
-    index set ``blocks[k]`` is ``mats[k]``: one SVD per block, the rank rule
-    ``rtol`` * sigma_max on the largest singular value of all blocks, and
-    each null vector embedded at full length."""
+    index set ``blocks[k]`` is ``mats[k]``: one SVD per block, rank by
+    NULL_SPACE_RTOL * the largest singular value of all blocks, and each
+    null vector embedded at full length."""
     dim = sum(len(idx) for idx in blocks)
     svds = [np.linalg.svd(mat)[1:] for mat in mats]
     smax = max((svals[0] for svals, _ in svds if svals.size), default=0.0)
@@ -352,7 +343,7 @@ def _block_null_space(mats, blocks, rtol: float) -> np.ndarray:
         return np.eye(dim, dtype=complex)
     pieces = []
     for idx, (svals, vh) in zip(blocks, svds):
-        rank = int(np.sum(svals > rtol * smax))
+        rank = int(np.sum(svals > NULL_SPACE_RTOL * smax))
         piece = np.zeros((dim, vh.shape[0] - rank), dtype=vh.dtype)
         piece[idx] = vh[rank:].conj().T
         pieces.append(piece)
@@ -634,34 +625,26 @@ class LdlPropertyReport:
     ground_energy: float
     ground_dim: int
     st_commutator_norm: float
-    steady_dim: int | None
+    steady_dim: int
     spectrum_nonnegative: bool
     ground_energy_zero: bool
     st_symmetric: bool
-    ground_matches_steady: bool | None
+    ground_matches_steady: bool
 
     @property
     def all_passed(self) -> bool:
-        checks = [
-            self.spectrum_nonnegative,
-            self.ground_energy_zero,
-            self.st_symmetric,
-        ]
-        if self.ground_matches_steady is not None:
-            checks.append(self.ground_matches_steady)
-        return all(checks)
+        return (self.spectrum_nonnegative and self.ground_energy_zero
+                and self.st_symmetric and self.ground_matches_steady)
 
     def to_json_dict(self) -> dict:
         return {**asdict(self), "all_passed": self.all_passed}
 
 
-def verify_ldl_properties(
-    ldl: SuperOp, liouvillian: SuperOp | None = None
-) -> LdlPropertyReport:
+def verify_ldl_properties(ldl: SuperOp, liouvillian: SuperOp) -> LdlPropertyReport:
     """Check the structural properties every squared generator carries:
     non-negative spectrum with zero ground energy, commutation with the
-    exchange/conjugation map, and (when the generator is supplied)
-    agreement between ground-space and steady-space dimensions."""
+    exchange/conjugation map, and agreement between its ground-space
+    dimension and the steady-space dimension of the generator."""
     mat = (ldl.matrix + ldl.matrix.conj().T) / 2
     evals = np.sort(np.concatenate([
         np.linalg.eigvalsh((blk + blk.conj().T) / 2) for blk in ldl.block_matrices()
@@ -675,9 +658,7 @@ def verify_ldl_properties(
     dim = 2 ** ldl.n
     perm = np.arange(dim * dim).reshape(dim, dim).T.ravel()
     st_norm = float(np.linalg.norm(mat[:, perm] - mat.conj()[perm, :]))
-    steady_dim = None
-    if liouvillian is not None:
-        steady_dim = liouvillian.null_basis.shape[1]
+    steady_dim = liouvillian.null_basis.shape[1]
     return LdlPropertyReport(
         min_eigenvalue=float(evals[0]),
         ground_energy=float(abs(evals[0])),
@@ -687,7 +668,7 @@ def verify_ldl_properties(
         spectrum_nonnegative=bool(evals[0] >= -1e-9),
         ground_energy_zero=bool(abs(evals[0]) < 1e-8),
         st_symmetric=bool(st_norm < 1e-9),
-        ground_matches_steady=None if steady_dim is None else ground_dim == steady_dim,
+        ground_matches_steady=ground_dim == steady_dim,
     )
 
 
@@ -698,13 +679,11 @@ def _sum_to_triples(s: PauliSum) -> list:
     return [[c.real, c.imag, w.letters] for w, c in s.sorted_terms()]
 
 
-def _sum_from_triples(triples, n: int | None = None) -> PauliSum:
+def _sum_from_triples(triples, n: int) -> PauliSum:
     entries = [(complex(re, im), letters) for re, im, letters in triples]
     if not all(np.isfinite(c) for c, _ in entries):
         raise ValidationError("Pauli coefficients must be finite")
     if not entries:
-        if n is None:
-            raise ValidationError("empty term list needs an explicit qubit count")
         return PauliSum.zero(n)
     return PauliSum.from_letter_terms(entries)
 

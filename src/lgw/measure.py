@@ -240,16 +240,14 @@ def hadamard_sample(
     return (2.0 * ones - shots) / shots
 
 
-def swap_sample(
-    rho: DensityMatrix, shots: int, seed: int, stream: int = SWAP_TEST_STREAM
-) -> float:
+def swap_sample(rho: DensityMatrix, shots: int, seed: int) -> float:
     """Simulated Swap test for the purity: returns 2 p0_hat - 1 where
     p0_hat is the sampled fraction of ancilla-zero outcomes."""
     if shots < 1:
         raise ValidationError("need at least one shot")
     p_s = (1.0 + rho.purity()) / 2.0
     p_s = min(max(p_s, 0.0), 1.0)
-    zeros = _rng(seed, stream).binomial(shots, p_s)
+    zeros = _rng(seed, SWAP_TEST_STREAM).binomial(shots, p_s)
     return 2.0 * zeros / shots - 1.0
 
 
@@ -417,8 +415,8 @@ def half_shots(
     a: PauliSum, gamma: float, shots: int | None, epsilon: float | None
 ) -> int:
     """Shots for each of the Hadamard and Swap halves: half of ``shots``
-    and at least one, or without ``shots`` the half that ``shot_budget``
-    gives for accuracy ``epsilon``."""
+    and at least one, or without ``shots`` the ``shot_budget`` half for
+    accuracy ``epsilon``, raised to one Hadamard shot per observable term."""
     if shots is not None:
         return max(1, shots // 2)
-    return shot_budget(a, gamma, epsilon)[1]
+    return max(shot_budget(a, gamma, epsilon)[1], len(a))

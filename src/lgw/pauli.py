@@ -11,8 +11,6 @@ Conventions fixed once for the whole package:
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from .errors import CapacityError, DimensionError, ValidationError
@@ -21,9 +19,9 @@ LETTERS = "IXYZ"
 
 COEFF_PRUNE_TOL = 1e-14
 
-# Dense realizations are refused above this many qubits (4096x4096);
-# LG_DENSE_CAP overrides at runtime.
-DEFAULT_DENSE_CAP = 12
+# Dense realizations are refused above this many qubits (4096x4096):
+# 6-qubit generators, or the two copies of a 6-qubit register.
+DENSE_QUBIT_CAP = 12
 
 PAULI_MATRICES = {
     "I": np.eye(2, dtype=complex),
@@ -45,26 +43,12 @@ _I4_ARRAY = np.array(_I4)
 _PRODUCT_BLOCK = 1 << 15
 
 
-def dense_qubit_cap() -> int:
-    """Current dense-matrix qubit cap (env var LG_DENSE_CAP overrides)."""
-    raw = os.environ.get("LG_DENSE_CAP")
-    if raw is None:
-        return DEFAULT_DENSE_CAP
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ValidationError(f"LG_DENSE_CAP={raw!r} is not an integer") from exc
-    if cap < 1:
-        raise ValidationError("LG_DENSE_CAP must be positive")
-    return cap
-
-
-def _check_dense(n: int) -> None:
-    cap = dense_qubit_cap()
-    if n > cap:
+def check_dense(n: int) -> None:
+    """Refuse a dense realization on more than ``DENSE_QUBIT_CAP`` qubits."""
+    if n > DENSE_QUBIT_CAP:
         raise CapacityError(
-            f"dense realization of {n} qubits exceeds the cap of {cap} "
-            f"(dim {2 ** n}); raise LG_DENSE_CAP only if you have the memory"
+            f"dense realization of {n} qubits exceeds the cap of "
+            f"{DENSE_QUBIT_CAP} (dim {2 ** n})"
         )
 
 
@@ -141,7 +125,7 @@ class PauliString:
         )
 
     def to_matrix(self) -> np.ndarray:
-        _check_dense(self.n)
+        check_dense(self.n)
         out = np.ones((1, 1), dtype=complex)
         for letter in self.letters:
             out = np.kron(out, PAULI_MATRICES[letter])
@@ -191,8 +175,8 @@ class PauliSum:
         return cls(n, {})
 
     @classmethod
-    def identity(cls, n: int, coeff: complex = 1.0) -> "PauliSum":
-        return cls(n, {PauliString.identity(n): coeff})
+    def identity(cls, n: int) -> "PauliSum":
+        return cls(n, {PauliString.identity(n): 1.0})
 
     @classmethod
     def from_term(cls, word: PauliString, coeff: complex = 1.0) -> "PauliSum":
@@ -277,7 +261,7 @@ class PauliSum:
         possible word, 4^n in all, so the dense cap applies.
         """
         n = self.n
-        _check_dense(n)
+        check_dense(n)
         x, z, c = self._word_arrays()
         m = len(c)
         y = np.bitwise_count(x & z).astype(np.int64)
@@ -364,7 +348,7 @@ def to_matrix(s: PauliSum) -> np.ndarray:
     products one after another would.
     """
     n = s.n
-    _check_dense(n)
+    check_dense(n)
     dim = 2 ** n
     x, z, c = s._word_arrays()
     c = c * _I4_ARRAY[np.bitwise_count(x & z) & 3]
@@ -416,17 +400,22 @@ def pauli_decompose(m: np.ndarray) -> PauliSum:
         t = np.stack(
             [(a + d) / 2, (b + c) / 2, 1j * (b - c) / 2, (a - d) / 2], axis=1
         ).reshape(-1, h, h)
-    # letter tuples in C order, qubit 0 outermost; letters 1, 2 (X, Y)
-    # carry an x bit and letters 2, 3 (Y, Z) a z bit
-    letters = np.indices((4,) * n).reshape(n, 4 ** n)
+    coeffs, words = t.ravel(), np.arange(t.size)
+    keep = np.abs(coeffs) >= COEFF_PRUNE_TOL
+    if not keep.all():
+        # drop the words PauliSum would prune before building any of them
+        coeffs, words = coeffs[keep], words[keep]
+    # a word's index spells its letters in base 4, qubit 0 most significant;
+    # letters 1, 2 (X, Y) carry an x bit and letters 2, 3 (Y, Z) a z bit
     shift = np.arange(n).reshape(n, 1)
+    letters = (words >> (2 * (n - 1 - shift))) & 3
     xs = (((letters == 1) | (letters == 2)) << shift).sum(axis=0)
     zs = (((letters == 2) | (letters == 3)) << shift).sum(axis=0)
     return PauliSum(
         n,
         {
             PauliString(n, x, z): coeff
-            for x, z, coeff in zip(xs.tolist(), zs.tolist(), t.ravel())
+            for x, z, coeff in zip(xs.tolist(), zs.tolist(), coeffs)
         },
     )
 

@@ -42,7 +42,7 @@ INFEASIBLE_TOL = 1e-8               # 0 = c rows with |c| above this are fatal
 SUBST_PRUNE_TOL = 1e-6              # residual allowed when an equation closes
 ROOT_IMAG_TOL = 1e-8
 RESIDUAL_TOL = 1e-8                 # largest residual of a returned assignment
-DEFAULT_NODE_BUDGET = 10_000
+NODE_BUDGET = 10_000                # search nodes before BudgetExceededError
 EXACT_COLUMN_CAP = 200              # rational elimination stays small
 
 
@@ -71,12 +71,12 @@ def overdefined_ratio_at(n: int, k: int) -> float:
     return n_e / n_u ** 2
 
 
-def asymptotic_ratio(k: int, n_max: int = 4096) -> float:
+def asymptotic_ratio(k: int) -> float:
     """Large-n limit of the over-defined ratio, by polynomial-in-1/n
-    extrapolation over n_max, n_max/2 and n_max/4."""
+    extrapolation over n = N/4, N/2 and N, with N = max(4096, 4k)."""
     if k < 2 or k % 2:
         raise ValidationError("locality k must be even and at least 2")
-    base = max(4 * k, (n_max // 4) * 4)
+    base = max(4 * k, 4096)
     ns = [base // 4, base // 2, base]
     hs = [1.0 / n for n in ns]
     vals = [overdefined_ratio_at(n, k) for n in ns]
@@ -692,11 +692,7 @@ class XlSolution:
     report: XlReport
 
 
-def xl_solve(
-    system: QuadraticSystem,
-    d_max: int = 4,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-) -> XlSolution:
+def xl_solve(system: QuadraticSystem, d_max: int = 4) -> XlSolution:
     """Solve an over-defined quadratic system by repeated rounds of
     extension, elimination and univariate back-substitution.
 
@@ -729,9 +725,9 @@ def xl_solve(
 
     while stack:
         nodes += 1
-        if nodes > node_budget:
+        if nodes > NODE_BUDGET:
             raise BudgetExceededError(
-                f"node budget {node_budget} exhausted",
+                f"node budget {NODE_BUDGET} exhausted",
                 partial_assignment={
                     system.var_names[i]: v for i, v in deepest.items()
                 },

@@ -261,6 +261,48 @@ def test_shots_below_one_per_term_is_one_line_error(
         assert code == cli.EXIT_OK
 
 
+@pytest.mark.parametrize("command", ["steady", "verify", "measure", "encode-circuit"])
+def test_past_dense_cap_is_one_line_error(tmp_path, capsys, command):
+    # a 7-qubit spec and a 5-qubit, depth-3 circuit (2 clock qubits) both
+    # need 14 dense qubits, past the 12-qubit cap
+    if command == "encode-circuit":
+        eye = [[[float(i == j), 0.0] for j in range(32)] for i in range(32)]
+        path = tmp_path / "circuit.json"
+        path.write_text(json.dumps({"n": 5, "layers": [eye] * 3}))
+        args = ["encode-circuit", "--circuit", str(path)]
+    else:
+        spec = rand_lme_spec(7, np.random.default_rng(7))
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(lme_to_json_dict(spec)))
+        args = [command, "--spec", str(path)]
+    if command == "measure":
+        obs = tmp_path / "obs.txt"
+        obs.write_text(format_pauli_sum(PauliSum.from_letter_terms([(1.0, "Z" * 14)])))
+        args += ["--observable", str(obs)]
+    assert cli.main(args + ["--out", str(tmp_path / "r")]) == cli.EXIT_FAILURE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error[")
+    assert "14 qubits exceeds the cap of 12" in err[0]
+
+
+def test_eps_budget_gives_one_hadamard_shot_per_term(tmp_path, capsys):
+    # small weights make the --eps budget 2 shots, one per half, fewer
+    # than the observable's two terms; the Hadamard half is raised to 2
+    obs = tmp_path / "obs.txt"
+    obs.write_text(format_pauli_sum(
+        PauliSum.from_letter_terms([(0.01, "ZZ"), (0.01, "XX")])
+    ))
+    out = tmp_path / "r"
+    assert cli.main(
+        ["measure", "--spec", str(sigma_minus_spec_file(tmp_path)),
+         "--observable", str(obs), "--eps", "0.5", "--out", str(out)]
+    ) == cli.EXIT_OK
+    assert capsys.readouterr().err == ""
+    data = json.loads((out / "measure_report.json").read_text())
+    assert data["plan"]["n_h"] == data["plan"]["n_s"] == 2
+    assert data["estimate"]["mse_bound"] <= 0.5 ** 2
+
+
 def test_steady_and_measure_commands(tmp_path):
     path = sigma_minus_spec_file(tmp_path)
     assert cli.main(["steady", "--spec", str(path), "--out", str(tmp_path)]) \

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from lgw.encodings import (
     final_qubit_one_observable,
     p1_from_steady,
 )
-from lgw.errors import DimensionError, ValidationError
+from lgw.errors import CapacityError, DimensionError, ValidationError
 from lgw.lindblad import (
     build_ldl,
     build_liouvillian,
@@ -164,3 +165,17 @@ def test_clock_export_carries_dimension():
     data = clock.to_json_dict()
     assert data["clock_dim"] == 3
     assert clock_qubit_count(2) == 2
+
+
+def test_circuit_to_lme_refuses_past_dense_cap():
+    # 5 system qubits and 2 clock qubits double to 14, past the 12-qubit
+    # cap; refused before any jump operator is built
+    circuit = CircuitSpec(5, (np.eye(32),) * 3)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="14 qubits"):
+            circuit_to_lme(circuit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 18

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from conftest import (
     unique_steady_spec,
 )
 from lgw.errors import (
+    CapacityError,
     NormalizationError,
     ValidationError,
 )
@@ -574,7 +576,8 @@ def test_st_commutator_random_specs():
     for _ in range(3):
         spec = rand_lme_spec(2, rng)
         ldl, _ = build_ldl(spec)
-        assert verify_ldl_properties(ldl).st_commutator_norm < 1e-9
+        report = verify_ldl_properties(ldl, build_liouvillian(spec))
+        assert report.st_commutator_norm < 1e-9
 
 
 def test_steady_space_equals_ldl_ground_space():
@@ -599,3 +602,17 @@ def test_lme_json_roundtrip(tmp_path):
     assert len(back.jumps) == len(spec.jumps)
     for a, b in zip(back.jumps, spec.jumps):
         assert a.rate == b.rate and a.op.max_coeff_diff(b.op) < 1e-15
+
+
+def test_build_liouvillian_refuses_past_dense_cap():
+    # a 7-qubit generator is a 2^14-square matrix: 14 qubits, past the
+    # 12-qubit cap, refused before even the 2^7-square Hamiltonian is built
+    spec = rand_lme_spec(7, np.random.default_rng(7))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="14 qubits"):
+            build_liouvillian(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 18

@@ -21,6 +21,7 @@ from lgw.measure import (
     estimate_expectation,
     exact_expectation,
     hadamard_sample,
+    half_shots,
     observable_norms,
     shot_budget,
     substitute,
@@ -389,6 +390,19 @@ def test_estimator_calibration_bias_and_variance():
     bias_bound, var_bound, _ = error_bounds(a, gamma, n_h, n_s)
     assert abs(values.mean() - truth) <= 3 * bias_bound
     assert values.var() <= 2 * var_bound
+
+
+def test_half_shots_eps_path_gives_one_hadamard_shot_per_term():
+    rng = np.random.default_rng(13)
+    for terms in (1, 2, 5, 16):
+        for weight in (1e-3, 0.1, 1.0):
+            words = {rand_word(2, rng): weight for _ in range(terms)}
+            a = PauliSum(2, words)
+            for gamma, eps in ((1.0, 1.0), (0.5, 0.5), (1.0, 0.1)):
+                half = half_shots(a, gamma, None, eps)
+                assert half == max(shot_budget(a, gamma, eps)[1], len(a))
+                assert half >= len(a)
+                MeasurementPlan.build(a, half, half, seed=1)
 
 
 def test_shot_budget_examples():

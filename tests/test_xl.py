@@ -312,10 +312,11 @@ def test_xl_solve_inconsistent_system():
         xl_solve(system)
 
 
-def test_xl_solve_budget_exceeded():
+def test_xl_solve_budget_exceeded(monkeypatch):
+    monkeypatch.setattr("lgw.xl.NODE_BUDGET", 1)
     system = QuadraticSystem(["x"], ["h"], [{(0, 0): 1.0, (): -1.0}])
     with pytest.raises(BudgetExceededError) as err:
-        xl_solve(system, node_budget=1)
+        xl_solve(system)
     assert hasattr(err.value, "partial_assignment")
 
 
