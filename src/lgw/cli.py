@@ -400,7 +400,9 @@ def cmd_measure(args) -> int:
 
 def cmd_encode_circuit(args) -> int:
     circuit = _stage("load_circuit", encodings.load_circuit, args.circuit)
-    clock = _stage("encode", encodings.circuit_to_lme, circuit)
+    clock_qubits = encodings.clock_qubit_count(circuit.depth)
+    clock = _stage(f"encode {circuit.n}+{clock_qubits} clock qubits, doubled",
+                   encodings.circuit_to_lme, circuit)
     rho = encodings.feynman_steady_state(circuit)
     p1 = encodings.p1_from_steady(rho, circuit.depth)
     out = args.out or "."
@@ -419,7 +421,8 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Dissipation-driven ground-state workbench. The default seed is "
             f"0x{DEFAULT_SEED:08X}; dense matrices are capped at "
-            f"{pauli.DENSE_QUBIT_CAP} qubits (6-qubit generators)."
+            f"{pauli.DENSE_QUBIT_CAP} qubits "
+            f"({pauli.DENSE_QUBIT_CAP // 2}-qubit generators)."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)

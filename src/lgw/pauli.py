@@ -19,8 +19,8 @@ LETTERS = "IXYZ"
 
 COEFF_PRUNE_TOL = 1e-14
 
-# Dense realizations are refused above this many qubits (4096x4096):
-# 6-qubit generators, or the two copies of a 6-qubit register.
+# Dense realizations are refused above this many qubits (4096x4096): the
+# superoperator of a generator on half as many, or two copies of a register.
 DENSE_QUBIT_CAP = 12
 
 PAULI_MATRICES = {
@@ -401,10 +401,9 @@ def pauli_decompose(m: np.ndarray) -> PauliSum:
             [(a + d) / 2, (b + c) / 2, 1j * (b - c) / 2, (a - d) / 2], axis=1
         ).reshape(-1, h, h)
     coeffs, words = t.ravel(), np.arange(t.size)
+    # drop the words PauliSum would prune before building any of them
     keep = np.abs(coeffs) >= COEFF_PRUNE_TOL
-    if not keep.all():
-        # drop the words PauliSum would prune before building any of them
-        coeffs, words = coeffs[keep], words[keep]
+    coeffs, words = coeffs[keep], words[keep]
     # a word's index spells its letters in base 4, qubit 0 most significant;
     # letters 1, 2 (X, Y) carry an x bit and letters 2, 3 (Y, Z) a z bit
     shift = np.arange(n).reshape(n, 1)

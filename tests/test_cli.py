@@ -283,6 +283,8 @@ def test_past_dense_cap_is_one_line_error(tmp_path, capsys, command):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error[")
     assert "14 qubits exceeds the cap of 12" in err[0]
+    if command == "encode-circuit":
+        assert err[0].startswith("error[encode 5+2 clock qubits, doubled]")
 
 
 def test_eps_budget_gives_one_hadamard_shot_per_term(tmp_path, capsys):
