@@ -15,7 +15,6 @@ from .errors import (
     DimensionError,
     IllConditionedRatioError,
     InstabilityError,
-    NeedHigherD,
     NormalizationError,
     NoSteadyStateError,
     StructuralRejectionError,

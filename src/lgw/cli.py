@@ -53,7 +53,6 @@ _EXIT_BY_ERROR = (
 class StageError(Exception):
     def __init__(self, stage: str, cause: Exception):
         super().__init__(f"[{stage}] {cause}")
-        self.stage = stage
         self.cause = cause
 
 
@@ -182,14 +181,12 @@ def cmd_pipeline(args) -> int:
     )
 
     gamma = args.gamma if args.gamma is not None else rho_t.purity()
-    n_half = measure.half_shots(observable, gamma, args.shots, args.eps)
-    plan = measure.MeasurementPlan.build(observable, n_half, n_half, args.seed)
-    estimate = _stage("measure", measure.estimate_expectation, plan, rho_t, gamma)
+    _, estimate = _stage("measure", measure.sampled_estimate, observable, rho_t,
+                         gamma, args.shots, args.eps, args.seed)
     exact = _stage("measure_exact", measure.exact_expectation, observable, rho_t)
 
-    out = args.out or "."
     dump_json(
-        os.path.join(out, "pipeline_report.json"),
+        os.path.join(args.out, "pipeline_report.json"),
         {
             "solver": solution.report.to_json_dict(),
             "assignment": solution.assignment,
@@ -203,10 +200,7 @@ def cmd_pipeline(args) -> int:
             "seed": args.seed,
         },
     )
-    atomic_write(
-        os.path.join(out, "estimates.csv"),
-        measure.ESTIMATE_CSV_HEADER + "\n" + estimate.to_csv_row() + "\n",
-    )
+    atomic_write(os.path.join(args.out, "estimates.csv"), estimate.to_csv())
     print(f"pipeline: residual={residual:.3e} exact={exact:.6f} "
           f"estimate={estimate.value:.6f} (t={t_evolve:.3f}, gamma={gamma:.4f})")
     return EXIT_OK
@@ -255,11 +249,10 @@ def cmd_xl_bench(args) -> int:
             )
             print(f"xl-bench: N={n_sites} rep={rep} wall={wall_ms:.1f}ms "
                   f"residual={residual:.2e}")
-    out = args.out or "."
     lines = ["N,rep,n_e,n_u,wall_time_ms,residual,matrix_density"]
     for n_sites, rep, n_e, n_u, wall, res, dens in rows:
         lines.append(f"{n_sites},{rep},{n_e},{n_u},{wall!r},{res!r},{dens!r}")
-    atomic_write(os.path.join(out, "xl_bench.csv"), "\n".join(lines) + "\n")
+    atomic_write(os.path.join(args.out, "xl_bench.csv"), "\n".join(lines) + "\n")
 
     summary = ["N,reps,mean_wall_time_ms,std_wall_time_ms,max_residual"]
     for n_sites in sizes:
@@ -271,7 +264,7 @@ def cmd_xl_bench(args) -> int:
                 f"{np.std(walls)!r},{np.nanmax(resids)!r}"
             )
     atomic_write(
-        os.path.join(out, "xl_bench_summary.csv"), "\n".join(summary) + "\n"
+        os.path.join(args.out, "xl_bench_summary.csv"), "\n".join(summary) + "\n"
     )
     return EXIT_OK
 
@@ -321,9 +314,8 @@ def cmd_verify(args) -> int:
     width = max(len(name) for name, _ in checks)
     for name, ok in checks:
         print(f"{name:<{width}}  {'PASS' if ok else 'FAIL'}")
-    out = args.out or "."
     dump_json(
-        os.path.join(out, "verify_report.json"),
+        os.path.join(args.out, "verify_report.json"),
         {
             "properties": props.to_json_dict(),
             "spectral": spectral.to_json_dict(),
@@ -345,9 +337,8 @@ def cmd_steady(args) -> int:
         report = lindblad.spectral_diagnostics(
             liouv, mixing_probes=args.probes, seed=args.seed
         )
-    out = args.out or "."
     dump_json(
-        os.path.join(out, "steady_report.json"),
+        os.path.join(args.out, "steady_report.json"),
         {
             "spectral": report.to_json_dict(),
             "states": [_matrix_to_json(s.matrix) for s in states],
@@ -375,13 +366,11 @@ def cmd_measure(args) -> int:
         )
     rho = states[0]
     gamma = args.gamma if args.gamma is not None else rho.purity()
-    half = measure.half_shots(observable, gamma, args.shots, args.eps)
-    plan = measure.MeasurementPlan.build(observable, half, half, args.seed)
-    estimate = _stage("measure", measure.estimate_expectation, plan, rho, gamma)
+    plan, estimate = _stage("measure", measure.sampled_estimate, observable, rho,
+                            gamma, args.shots, args.eps, args.seed)
     exact = _stage("measure_exact", measure.exact_expectation, observable, rho)
-    out = args.out or "."
     dump_json(
-        os.path.join(out, "measure_report.json"),
+        os.path.join(args.out, "measure_report.json"),
         {
             "exact": exact,
             "estimate": estimate.to_json_dict(),
@@ -389,10 +378,7 @@ def cmd_measure(args) -> int:
             "gamma": gamma,
         },
     )
-    atomic_write(
-        os.path.join(out, "measure.csv"),
-        measure.ESTIMATE_CSV_HEADER + "\n" + estimate.to_csv_row() + "\n",
-    )
+    atomic_write(os.path.join(args.out, "measure.csv"), estimate.to_csv())
     print(f"measure: exact={exact:.6f} estimate={estimate.value:.6f} "
           f"shots={estimate.shots}")
     return EXIT_OK
@@ -405,8 +391,7 @@ def cmd_encode_circuit(args) -> int:
                    encodings.circuit_to_lme, circuit)
     rho = encodings.feynman_steady_state(circuit)
     p1 = encodings.p1_from_steady(rho, circuit.depth)
-    out = args.out or "."
-    dump_json(os.path.join(out, "clock_lme.json"), clock.to_json_dict())
+    dump_json(os.path.join(args.out, "clock_lme.json"), clock.to_json_dict())
     print(f"encode-circuit: n={circuit.n} T={circuit.depth} "
           f"clock_dim={clock.clock_dim} purity={rho.purity():.6f} p1={p1:.6f}")
     return EXIT_OK

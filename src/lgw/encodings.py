@@ -22,12 +22,7 @@ from .lindblad import (
     lme_to_json_dict,
     read_input,
 )
-from .measure import (
-    MeasurementPlan,
-    estimate_expectation,
-    exact_expectation,
-    half_shots,
-)
+from .measure import exact_expectation, sampled_estimate
 from .pauli import PauliString, PauliSum, check_dense, pauli_decompose
 
 UNITARY_TOL = 1e-10
@@ -102,10 +97,7 @@ class ClockLme:
     """The dissipative encoding of a circuit, plus clock bookkeeping."""
 
     spec: LmeSpec
-    n_system: int
-    depth: int
     clock_dim: int
-    clock_qubits: int
 
     def to_json_dict(self) -> dict:
         return lme_to_json_dict(self.spec, clock_dim=self.clock_dim)
@@ -168,13 +160,7 @@ def circuit_to_lme(circuit: CircuitSpec) -> ClockLme:
         jumps.append(JumpChannel(1.0, pauli_decompose(dense)))
 
     spec = LmeSpec(n_tot, PauliSum.zero(n_tot), tuple(jumps))
-    return ClockLme(
-        spec=spec,
-        n_system=n,
-        depth=t_depth,
-        clock_dim=t_depth + 1,
-        clock_qubits=q,
-    )
+    return ClockLme(spec=spec, clock_dim=t_depth + 1)
 
 
 def feynman_steady_state(circuit: CircuitSpec) -> DensityMatrix:
@@ -234,8 +220,6 @@ def p1_from_steady(
     if shots is None and eps is None:
         val = exact_expectation(obs, rho_ss)
     else:
-        half = half_shots(obs, gamma, shots, eps)
-        plan = MeasurementPlan.build(obs, half, half, seed)
-        val = estimate_expectation(plan, rho_ss, gamma).value
+        val = sampled_estimate(obs, rho_ss, gamma, shots, eps, seed)[1].value
     return (1.0 - (depth + 1) * val) / 2.0
 

@@ -43,11 +43,6 @@ class StructuralRejectionError(WorkbenchError):
     every squared generator carries, so no generator can produce it."""
 
 
-class NeedHigherD(WorkbenchError):
-    """An elimination round produced no univariate rows; retry with a
-    larger extension degree."""
-
-
 class UnsolvableError(WorkbenchError):
     """Every search branch was exhausted without a consistent assignment."""
 

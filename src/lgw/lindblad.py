@@ -25,7 +25,7 @@ from .errors import (
     ValidationError,
     WorkbenchError,
 )
-from .pauli import PauliString, PauliSum, check_dense, pauli_decompose, to_matrix
+from .pauli import PauliSum, check_dense, to_matrix
 
 NULL_SPACE_RTOL = 1e-10       # singular values below rtol*s_max span the null space
 HERMITICITY_TOL = 1e-10
@@ -57,7 +57,7 @@ class LmeSpec:
         object.__setattr__(self, "jumps", tuple(self.jumps))
         if self.hamiltonian.n != self.n:
             raise DimensionError("Hamiltonian qubit count differs from spec")
-        if not self.hamiltonian.is_hermitian(1e-12):
+        if not self.hamiltonian.is_hermitian():
             raise ValidationError("Hamiltonian must be Hermitian (within 1e-12)")
         for ch in self.jumps:
             if ch.op.n != self.n:
@@ -220,13 +220,15 @@ def build_liouvillian(spec: LmeSpec) -> SuperOp:
 
     L = -i(H(x)I - I(x)H^T) + sum_i rate_i (F(x)F* - (F^dag F)(x)I/2
     - I(x)(F^T F^*)/2); the vectorized identity is always a left null
-    vector (trace preservation).
+    vector (trace preservation).  A generator within rounding of the scale
+    of its terms (H = 0, every F proportional to I) is the zero generator.
     """
     check_dense(2 * spec.n)
     dim = 2 ** spec.n
     eye = np.eye(dim, dtype=complex)
     h = to_matrix(spec.hamiltonian)
     lmat = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    scale = np.abs(h).max()
     for ch in spec.jumps:
         f = to_matrix(ch.op)
         fdf = f.conj().T @ f
@@ -235,21 +237,22 @@ def build_liouvillian(spec: LmeSpec) -> SuperOp:
             - 0.5 * np.kron(fdf, eye)
             - 0.5 * np.kron(eye, fdf.T)
         )
+        scale += ch.rate * np.abs(fdf).max()
+    if np.sqrt(np.vdot(lmat, lmat).real) <= dim * dim * np.finfo(float).eps * scale:
+        lmat[:] = 0.0
     return SuperOp(spec.n, lmat)
 
 
-def pauli_liouvillian(n: int, hamiltonian: PauliSum | None, jumps) -> PauliSum:
+def pauli_liouvillian(n: int, hamiltonian: PauliSum, jumps) -> PauliSum:
     """The generator of ``build_liouvillian`` as a 2n-qubit Pauli sum.
 
     L = -i(H(x)I - I(x)H^T) + sum_i rate_i (F(x)F* - (F^dag F)(x)I/2
     - I(x)(F^dag F)^T/2), built by Pauli algebra alone, so it needs no
-    dense matrix at any size.  ``hamiltonian`` may be None; ``jumps`` is
-    a list of (rate, operator) pairs.
+    dense matrix at any size.  ``jumps`` is a list of (rate, operator)
+    pairs.
     """
     iden = PauliSum.identity(n)
-    total = PauliSum.zero(2 * n)
-    if hamiltonian is not None:
-        total = (hamiltonian.tensor(iden) - iden.tensor(hamiltonian.transpose())) * -1j
+    total = (hamiltonian.tensor(iden) - iden.tensor(hamiltonian.transpose())) * -1j
     for rate, f in jumps:
         fdf = f.dagger() @ f
         total = total + (
@@ -265,16 +268,10 @@ def exchange_conjugate(doubled: PauliSum) -> PauliSum:
     exchange and complex conjugation (the matrix map M -> S M^* S)."""
     if doubled.n % 2:
         raise DimensionError("doubled-register sum must have even qubit count")
-    half = doubled.n // 2
-    mask = (1 << half) - 1
-    terms: dict[PauliString, complex] = {}
-    for word, coeff in doubled.terms.items():
-        swapped = PauliString(
-            word.n,
-            (word.x >> half) | ((word.x & mask) << half),
-            (word.z >> half) | ((word.z & mask) << half),
-        )
-        terms[swapped] = coeff.conjugate() * word.transpose_sign
+    terms = {}
+    for word, coeff in doubled.conj():
+        row, col = word.halves()
+        terms[col.tensor(row)] = coeff
     return PauliSum(doubled.n, terms)
 
 
@@ -288,9 +285,10 @@ def build_ldl(spec: LmeSpec) -> tuple[SuperOp, PauliSum]:
     """Dense and Pauli-sum forms of the squared generator.
 
     The Pauli form is L_P^dag L_P with L_P from ``pauli_liouvillian``;
-    it is cross-checked against the Pauli decomposition of the dense
-    product L^dag L built by Kronecker products, and disagreement beyond
-    1e-10 means a construction bug and raises.
+    it is cross-checked entry by entry against the dense product L^dag L
+    built by Kronecker products (an entrywise bound also bounds every
+    Pauli coefficient, |Tr(P D)|/2^n <= max|D_ij|), and disagreement
+    beyond 1e-10 means a construction bug and raises.
     """
     liouv = build_liouvillian(spec)
     dense = liouv.matrix.conj().T @ liouv.matrix
@@ -298,8 +296,7 @@ def build_ldl(spec: LmeSpec) -> tuple[SuperOp, PauliSum]:
         spec.n, spec.hamiltonian, [(ch.rate, ch.op) for ch in spec.jumps]
     )
     sym = lp.dagger() @ lp
-    decomposed = pauli_decompose(dense)
-    gap = sym.max_coeff_diff(decomposed)
+    gap = float(np.abs(to_matrix(sym) - dense).max())
     if gap > 1e-10:
         raise WorkbenchError(
             f"Pauli-sum and dense squared generators disagree by {gap:.3e}"
@@ -350,6 +347,13 @@ def _block_null_space(mats, blocks) -> np.ndarray:
     return np.concatenate(pieces, axis=1)
 
 
+def _hermitian_part(mat: np.ndarray) -> np.ndarray:
+    """(M + M^dag)/2, or (M - M^dag)/2i if that is zero: the null space is
+    closed under M -> M^dag, so it then holds the Hermitian -iM."""
+    herm = (mat + mat.conj().T) / 2
+    return herm if herm.any() else (mat - mat.conj().T) / 2j
+
+
 def steady_state(liouv: SuperOp) -> list[DensityMatrix]:
     """Steady density matrices spanning the null space of the generator.
 
@@ -363,7 +367,7 @@ def steady_state(liouv: SuperOp) -> list[DensityMatrix]:
     if basis.shape[1] == 0:
         raise NoSteadyStateError("generator has no numerical null space")
     dim = 2 ** liouv.n
-    herms = [(mat + mat.conj().T) / 2 for mat in basis.T.reshape(-1, dim, dim)]
+    herms = [_hermitian_part(mat) for mat in basis.T.reshape(-1, dim, dim)]
     repaired = []
     degenerate = False
     for herm in herms:

@@ -113,15 +113,10 @@ def substitute_pauli(word: PauliString) -> PauliSum:
     B = (P (x) Q^T) SWAP = s A SWAP, with s = (-1)^(Y letters of Q).  Terms
     are ordered by their copy-1 letters.
     """
-    if word.n % 2:
-        raise DimensionError(
-            f"cannot pair qubits of an odd-width word (n={word.n})"
-        )
-    half = word.n // 2
-    col = PauliString(half, word.x >> half, word.z >> half)
-    b = PauliSum.from_term(word, col.transpose_sign) @ _swap(half)
+    row, col = word.halves()
+    b = PauliSum.from_term(word, col.transpose_sign) @ _swap(row.n)
     return PauliSum(word.n, dict(
-        sorted(b.terms.items(), key=lambda kv: kv[0].letters[:half])
+        sorted(b.terms.items(), key=lambda kv: kv[0].letters[:row.n])
     ))
 
 
@@ -135,7 +130,7 @@ def substitute_terms(a: PauliSum) -> list[tuple[float, PauliString, PauliSum]]:
         raise DimensionError("observable must live on a doubled (even) register")
     out = []
     for word, coeff in a.sorted_terms():
-        out.append((coeff.real if abs(coeff.imag) < 1e-12 else coeff,
+        out.append((coeff.real if abs(coeff.imag) <= 1e-12 else coeff,
                     word, substitute_pauli(word)))
     return out
 
@@ -163,13 +158,10 @@ def trace_with_two_copies(q: PauliSum, rho: DensityMatrix) -> complex:
     Tr((P1(x)P2)(rho(x)rho)) = Tr(P1 rho) Tr(P2 rho)."""
     if q.n != 2 * rho.n:
         raise DimensionError("operator does not match two copies of rho")
-    half = rho.n
-    mask = (1 << half) - 1
     traces = _pauli_traces(rho)
     total = 0.0 + 0.0j
     for word, coeff in q.terms.items():
-        w1 = PauliString(half, word.x & mask, word.z & mask)
-        w2 = PauliString(half, word.x >> half, word.z >> half)
+        w1, w2 = word.halves()
         t1 = traces.get(w1)
         if t1 is None or t1 == 0:
             continue
@@ -186,7 +178,7 @@ def exact_expectation(a: PauliSum, rho: DensityMatrix) -> float:
         raise DimensionError(
             f"observable on {a.n} qubits does not match rho on {rho.n}"
         )
-    if not a.is_hermitian(1e-10):
+    if not a.is_hermitian():
         raise ValidationError(
             "observable must be Hermitian (non-Hermitian extensions are out "
             "of scope here)"
@@ -279,7 +271,7 @@ class MeasurementPlan:
                 f"the observable has {m} terms and needs one Hadamard shot "
                 f"per term: at least {m} (--shots {2 * m}), got {n_h}"
             )
-        if not observable.is_hermitian(1e-12):
+        if not observable.is_hermitian():
             raise ValidationError("observable weights must be real")
         triples = substitute_terms(observable)
         return cls(
@@ -332,6 +324,10 @@ class EstimateReport:
 
     def to_csv_row(self) -> str:
         return ",".join(map(repr, astuple(self)))
+
+    def to_csv(self) -> str:
+        """The estimate as CSV text: header line, then this report's row."""
+        return ESTIMATE_CSV_HEADER + "\n" + self.to_csv_row() + "\n"
 
 
 ESTIMATE_CSV_HEADER = ",".join(f.name for f in fields(EstimateReport))
@@ -420,3 +416,13 @@ def half_shots(
     if shots is not None:
         return max(1, shots // 2)
     return max(shot_budget(a, gamma, epsilon)[1], len(a))
+
+
+def sampled_estimate(a: PauliSum, rho: DensityMatrix, gamma: float,
+                     shots: int | None, eps: float | None, seed: int
+                     ) -> tuple[MeasurementPlan, EstimateReport]:
+    """The sampled read of <rho|A|rho>: split ``shots`` (or the ``eps``
+    budget) by ``half_shots``, build the plan and run the estimator."""
+    half = half_shots(a, gamma, shots, eps)
+    plan = MeasurementPlan.build(a, half, half, seed)
+    return plan, estimate_expectation(plan, rho, gamma)

@@ -124,6 +124,16 @@ class PauliString:
             self.z | (other.z << self.n),
         )
 
+    def halves(self) -> tuple["PauliString", "PauliString"]:
+        """(row, col) words of a doubled-register word; ``row.tensor(col)``
+        is the inverse."""
+        if self.n % 2:
+            raise DimensionError(f"an odd-width word (n={self.n}) has no halves")
+        half = self.n // 2
+        mask = (1 << half) - 1
+        return (PauliString(half, self.x & mask, self.z & mask),
+                PauliString(half, self.x >> half, self.z >> half))
+
     def to_matrix(self) -> np.ndarray:
         check_dense(self.n)
         out = np.ones((1, 1), dtype=complex)
@@ -307,7 +317,7 @@ class PauliSum:
     # -- queries ---------------------------------------------------------
 
     def is_hermitian(self, tol: float = 1e-12) -> bool:
-        return all(abs(c.imag) <= tol for c in self.terms.values())
+        return self.hermiticity_defect() <= tol
 
     def hermiticity_defect(self) -> float:
         return max((abs(c.imag) for c in self.terms.values()), default=0.0)

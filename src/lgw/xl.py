@@ -25,18 +25,16 @@ from .errors import (
     BudgetExceededError,
     CapacityError,
     DimensionError,
-    NeedHigherD,
     StructuralRejectionError,
     UnsolvableError,
     ValidationError,
     WorkbenchError,
 )
 from .lindblad import exchange_symmetry_defect, pauli_liouvillian
-from .pauli import PauliString, PauliSum
+from .pauli import COEFF_PRUNE_TOL, PauliString, PauliSum
 
 Monomial = tuple[int, ...]          # sorted variable indices, () = constant
 
-POLY_PRUNE_TOL = 1e-14
 PIVOT_RTOL = 1e-12                  # entries below rtol * row max count as zero
 INFEASIBLE_TOL = 1e-8               # 0 = c rows with |c| above this are fatal
 SUBST_PRUNE_TOL = 1e-6              # residual allowed when an equation closes
@@ -133,7 +131,7 @@ class LiouvillianAnsatz:
                     f"ansatz operator exceeds declared locality {self.locality}"
                 )
         for op in self.hamiltonian_ops:
-            if not op.is_hermitian(1e-12):
+            if not op.is_hermitian():
                 raise ValidationError("Hamiltonian patterns must be Hermitian")
 
     @property
@@ -306,7 +304,8 @@ def build_mq_system(
     # (j < k) or L_j^dag L_j (j = k), word by word
     nh, nj = ansatz.num_h, ansatz.num_jumps
     parts = [pauli_liouvillian(ansatz.n, op, []) for op in ansatz.hamiltonian_ops]
-    parts += [pauli_liouvillian(ansatz.n, None, [(1.0, op)]) for op in ansatz.jump_ops]
+    zero = PauliSum.zero(ansatz.n)
+    parts += [pauli_liouvillian(ansatz.n, zero, [(1.0, op)]) for op in ansatz.jump_ops]
     daggers = [p.dagger() for p in parts]
     polys: dict[PauliString, dict[Monomial, complex]] = {}
     # Hamiltonian pairs, then mixed, then jump pairs: the order in which
@@ -339,7 +338,7 @@ def build_mq_system(
         tgt = target.terms.get(word, 0.0).real
         if tgt:
             eq[()] = -tgt
-        eq = {m: c for m, c in eq.items() if abs(c) >= POLY_PRUNE_TOL}
+        eq = {m: c for m, c in eq.items() if abs(c) >= COEFF_PRUNE_TOL}
         if eq:
             equations.append(eq)
     for i in range(nj):
@@ -572,18 +571,15 @@ def xl_round(
     in nv variables.
 
     Returns the linearized extension, its echelon form, and the
-    univariate rows found.  Raises NeedHigherD when the echelon form is
-    consistent but holds no univariate row.
+    univariate rows found; a consistent echelon form without univariate
+    rows asks for a larger extension degree.
     """
     if d < 2:
         raise ValidationError("extension degree must be at least 2")
     extended = extend_equations(equations, nv, d)
     lin = linearize(extended, nv, d)
     ech = eliminate(lin)
-    univariates = _extract_univariates(ech)
-    if not univariates and not ech.inconsistent:
-        raise NeedHigherD(f"no univariate rows at extension degree {d}")
-    return lin, ech, univariates
+    return lin, ech, _extract_univariates(ech)
 
 
 # -- the solve loop --------------------------------------------------------------
@@ -656,11 +652,11 @@ def _substitute(
                     c *= values[idx]
                 else:
                     kept.append(idx)
-            if abs(c) < POLY_PRUNE_TOL:
+            if abs(c) < COEFF_PRUNE_TOL:
                 continue
             key = tuple(kept)
             new[key] = new.get(key, 0.0) + c
-        new = {m: c for m, c in new.items() if abs(c) >= POLY_PRUNE_TOL}
+        new = {m: c for m, c in new.items() if abs(c) >= COEFF_PRUNE_TOL}
         if not new:
             continue
         if set(new) == {()}:
@@ -735,8 +731,7 @@ def xl_solve(system: QuadraticSystem, d_max: int = 4) -> XlSolution:
         equations, assign = stack.pop()
         if len(assign) > len(deepest):
             deepest = assign
-        alive = True
-        while alive:
+        while True:
             if not equations:
                 values = np.zeros(nv)
                 for i, v in assign.items():
@@ -763,23 +758,17 @@ def xl_solve(system: QuadraticSystem, d_max: int = 4) -> XlSolution:
                     }
                     return XlSolution(assignment, report)
                 break
-            univariates = None
             for d in range(2, d_max + 1):
-                try:
-                    rounds += 1
-                    lin, ech, univs = xl_round(equations, nv, d)
-                except NeedHigherD:
+                rounds += 1
+                lin, ech, univariates = xl_round(equations, nv, d)
+                if not univariates and not ech.inconsistent:
                     continue
                 if first_density is None:
                     first_density = lin.density()
-                if ech.inconsistent:
-                    univariates = None
-                    break
-                univariates = univs
-                d_seen = max(d_seen, d)
                 break
-            if not univariates:
+            if ech.inconsistent or not univariates:
                 break
+            d_seen = max(d_seen, d)
             by_var: dict[int, list[np.ndarray]] = {}
             for var, coeffs in univariates:
                 by_var.setdefault(var, []).append(coeffs)
@@ -812,7 +801,7 @@ def xl_solve(system: QuadraticSystem, d_max: int = 4) -> XlSolution:
             children.sort(key=lambda t: -t[0])   # best (smallest residual) on top
             for closing, root, child_eqs in children:
                 stack.append((child_eqs, {**assign, var: root}))
-            alive = False
+            break
 
     raise UnsolvableError(
         f"no consistent assignment found up to extension degree {d_max}"

@@ -62,6 +62,16 @@ def unique_steady_spec(n, rng, max_tries=60):
     raise RuntimeError("failed to sample a unique-steady-state instance")
 
 
+# H = 0 and one jump proportional to the identity: the terms of L cancel
+# in exact arithmetic but leave rounding residue on the diagonal
+IDENTITY_JUMP_SPEC = {
+    "n": 1,
+    "hamiltonian": [],
+    "jumps": [{"rate": 1.8912414057559308,
+               "op": [[-0.4236059554266051, 1.2461123127354776, "I"]]}],
+}
+
+
 def sigma_minus():
     return PauliSum.from_letter_terms([(0.5, "X"), (0.5j, "Y")])
 

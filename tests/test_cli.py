@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import rand_lme_spec
+from conftest import IDENTITY_JUMP_SPEC, rand_lme_spec
 
 from lgw import cli
 from lgw.lindblad import JumpChannel, LmeSpec, lme_to_json_dict
@@ -345,6 +345,30 @@ def test_steady_with_degenerate_steady_space(tmp_path):
     assert report["warnings"][0].startswith(
         "degenerate steady space: PSD repair failed"
     )
+
+
+def test_cancelling_generator_has_every_state_steady(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(IDENTITY_JUMP_SPEC))
+    assert cli.main(["steady", "--spec", str(path), "--out", str(tmp_path)]) \
+        == cli.EXIT_OK
+    report = json.loads((tmp_path / "steady_report.json").read_text())
+    assert report["spectral"]["steady_dim"] == 4 and len(report["states"]) == 4
+    assert report["warnings"][0].startswith("degenerate steady space")
+    assert cli.main(["verify", "--spec", str(path), "--out", str(tmp_path)]) \
+        == cli.EXIT_OK
+    props = json.loads((tmp_path / "verify_report.json").read_text())["properties"]
+    assert props["steady_dim"] == props["ground_dim"] == 4
+    obs = tmp_path / "obs.txt"
+    obs.write_text(format_pauli_sum(PauliSum.from_letter_terms([(1.0, "ZZ")])))
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rc = cli.main(["measure", "--spec", str(path), "--observable", str(obs),
+                       "--shots", "200", "--out", str(tmp_path)])
+    assert rc == cli.EXIT_NO_STEADY_STATE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "need a unique steady state" in err[0]
 
 
 def test_linalg_error_is_one_error_line(tmp_path, monkeypatch, capsys):

@@ -80,7 +80,7 @@ def test_history_state_is_exactly_steady_and_unique():
         states = steady_state(liouv)
         assert len(states) == 1
         assert trace_norm(states[0].matrix - rho.matrix) < 1e-8
-        padding = 2 ** clock.clock_qubits - clock.clock_dim
+        padding = 2 ** clock_qubit_count(circuit.depth) - clock.clock_dim
         assert len(clock.spec.jumps) == circuit.n + (circuit.depth + 1) + padding
 
 

@@ -248,6 +248,20 @@ def test_exact_expectation_rejects_non_hermitian():
         exact_expectation(PauliSum.from_letter_terms([(1j, "ZZ")]), rho)
 
 
+def test_plan_and_exact_read_share_one_hermiticity_rule():
+    # imaginary parts up to 1e-12 count as real in both; above, both refuse
+    rho = DensityMatrix.maximally_mixed(1)
+    accepted = PauliSum.from_letter_terms([(1 + 1e-12j, "ZI"), (0.5, "XX")])
+    plan = MeasurementPlan.build(accepted, 10, 10, seed=0)
+    assert plan.weights == (0.5, 1.0)       # canonical order: XX, ZI
+    exact_expectation(accepted, rho)
+    refused = PauliSum.from_letter_terms([(1 + 2e-12j, "ZI"), (0.5, "XX")])
+    with pytest.raises(ValidationError):
+        MeasurementPlan.build(refused, 10, 10, seed=0)
+    with pytest.raises(ValidationError):
+        exact_expectation(refused, rho)
+
+
 def test_imaginary_parts_cancel_for_hermitian_observables():
     rng = np.random.default_rng(45)
     for _ in range(10):

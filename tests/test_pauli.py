@@ -79,6 +79,18 @@ def test_tensor_kron_oracle():
         assert np.abs(to_matrix(a.tensor(b)) - expect).max() < 1e-12
 
 
+def test_halves_invert_tensor():
+    rng = np.random.default_rng(11)
+    for half in (1, 2, 3):
+        for _ in range(10):
+            row, col = rand_word(half, rng), rand_word(half, rng)
+            word = row.tensor(col)
+            assert word.halves() == (row, col)
+            assert word.letters == row.letters + col.letters
+    with pytest.raises(DimensionError):
+        PauliString.from_letters("XYZ").halves()
+
+
 def test_to_matrix_z():
     z = PauliSum.from_letter_terms([(1.0, "Z")])
     assert np.array_equal(to_matrix(z), np.diag([1.0 + 0j, -1.0 + 0j]))

@@ -8,7 +8,6 @@ import pytest
 from lgw.errors import (
     BudgetExceededError,
     CapacityError,
-    NeedHigherD,
     StructuralRejectionError,
     UnsolvableError,
     ValidationError,
@@ -256,8 +255,8 @@ def test_xl_round_needs_higher_degree():
             {(0, 2): 1.0, (): -1.0},
         ],
     )
-    with pytest.raises(NeedHigherD):
-        xl_round(system.equations, system.n_u, 2)
+    _, ech, univariates = xl_round(system.equations, system.n_u, 2)
+    assert univariates == [] and not ech.inconsistent
 
 
 def test_xl_round_chain15_univariates_at_degree_two():
