@@ -356,15 +356,14 @@ def cmd_measure(args) -> int:
     spec, _ = _stage("load_spec", lindblad.load_lme, args.spec)
     observable = _stage("load_observable", _load_observable, args.observable)
     liouv = _stage("build_liouvillian", lindblad.build_liouvillian, spec)
-    states = _stage("steady_state", lindblad.steady_state, liouv)
-    if len(states) != 1:
+    # refuse a degenerate steady space before steady_state warns about it
+    steady_dim = liouv.null_basis.shape[1]
+    if steady_dim > 1:
         raise StageError(
             "steady_state",
-            NoSteadyStateError(
-                f"need a unique steady state, found {len(states)}"
-            ),
+            NoSteadyStateError(f"need a unique steady state, found {steady_dim}"),
         )
-    rho = states[0]
+    rho = _stage("steady_state", lindblad.steady_state, liouv)[0]
     gamma = args.gamma if args.gamma is not None else rho.purity()
     plan, estimate = _stage("measure", measure.sampled_estimate, observable, rho,
                             gamma, args.shots, args.eps, args.seed)

@@ -15,7 +15,6 @@ from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DimensionError,
@@ -76,11 +75,13 @@ class SuperOp:
     ``null_basis`` by one SVD per block.  A one-block operator factors
     ``matrix`` itself.  ``blocks``, ``eig`` and ``null_basis`` are
     computed on first use and cached, which relies on ``matrix`` not being
-    modified after construction.
+    modified after construction.  Singular values up to ``rounding_floor``,
+    the rounding residue of the generator's terms, count as null.
     """
 
     n: int
     matrix: np.ndarray
+    rounding_floor: float = 0.0
 
     def __post_init__(self):
         dim = 4 ** self.n
@@ -116,7 +117,8 @@ class SuperOp:
     @cached_property
     def null_basis(self) -> np.ndarray:
         """Orthonormal right null-space basis (columns), by one SVD per block."""
-        return _block_null_space(self.block_matrices(), self.blocks)
+        return _block_null_space(self.block_matrices(), self.blocks,
+                                 self.rounding_floor)
 
 
 def _components(mask: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -238,9 +240,10 @@ def build_liouvillian(spec: LmeSpec) -> SuperOp:
             - 0.5 * np.kron(eye, fdf.T)
         )
         scale += ch.rate * np.abs(fdf).max()
-    if np.sqrt(np.vdot(lmat, lmat).real) <= dim * dim * np.finfo(float).eps * scale:
+    floor = dim * dim * np.finfo(float).eps * scale
+    if np.sqrt(np.vdot(lmat, lmat).real) <= floor:
         lmat[:] = 0.0
-    return SuperOp(spec.n, lmat)
+    return SuperOp(spec.n, lmat, floor)
 
 
 def pauli_liouvillian(n: int, hamiltonian: PauliSum, jumps) -> PauliSum:
@@ -325,22 +328,23 @@ def exchange_matrix(n: int) -> np.ndarray:
 
 def _null_space(matrix: np.ndarray) -> np.ndarray:
     """Orthonormal right null-space basis (columns) by SVD."""
-    return _block_null_space([matrix], [np.arange(matrix.shape[1])])
+    return _block_null_space([matrix], [np.arange(matrix.shape[1])], 0.0)
 
 
-def _block_null_space(mats, blocks) -> np.ndarray:
+def _block_null_space(mats, blocks, floor: float) -> np.ndarray:
     """Null-space basis of the block-diagonal matrix whose block on the
     index set ``blocks[k]`` is ``mats[k]``: one SVD per block, rank by
-    NULL_SPACE_RTOL * the largest singular value of all blocks, and each
-    null vector embedded at full length."""
+    NULL_SPACE_RTOL * the largest singular value of all blocks, floored at
+    ``floor``, and each null vector embedded at full length."""
     dim = sum(len(idx) for idx in blocks)
     svds = [np.linalg.svd(mat)[1:] for mat in mats]
     smax = max((svals[0] for svals, _ in svds if svals.size), default=0.0)
     if smax == 0.0:
         return np.eye(dim, dtype=complex)
+    cut = max(NULL_SPACE_RTOL * smax, floor)
     pieces = []
     for idx, (svals, vh) in zip(blocks, svds):
-        rank = int(np.sum(svals > NULL_SPACE_RTOL * smax))
+        rank = int(np.sum(svals > cut))
         piece = np.zeros((dim, vh.shape[0] - rank), dtype=vh.dtype)
         piece[idx] = vh[rank:].conj().T
         pieces.append(piece)
@@ -543,7 +547,7 @@ def _mixing_time_estimate(
         mats = liouv.block_matrices()
 
         def propagate_block(k, vec, t):
-            return scipy.linalg.expm(mats[k] * t) @ vec
+            return _expm(mats[k] * t) @ vec
 
     def propagate(vec, t):
         out = np.empty(vec.shape, dtype=complex)
@@ -601,6 +605,21 @@ def _mixing_time_estimate(
     return estimate
 
 
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) by scaling and squaring (Moler and Van Loan, SIAM Review 45,
+    3 (2003)): the degree-18 Taylor sum of a / 2^s, whose 1-norm is at most
+    1/2 so the sum is exact to rounding, squared s times.  Non-finite
+    entries stay non-finite."""
+    s = max(0, int(np.frexp(np.abs(a).sum(axis=0).max())[1]) + 1)
+    x = a * 0.5 ** s
+    out = eye = np.eye(len(a), dtype=x.dtype)
+    for k in range(18, 0, -1):
+        out = eye + (x @ out) / k
+    for _ in range(s):
+        out = out @ out
+    return out
+
+
 def runtime_bound(kind: str, value: float, n: int, eps: float) -> float:
     """Sufficient evolution time to reach vectorized overlap 1 - eps.
 
@@ -655,9 +674,11 @@ def verify_ldl_properties(ldl: SuperOp, liouvillian: SuperOp) -> LdlPropertyRepo
     ]))
     # the steady count's sigma <= NULL_SPACE_RTOL * sigma_max of L reads
     # lambda <= NULL_SPACE_RTOL**2 * lambda_max here (lambda = sigma**2),
-    # floored at what eigvalsh resolves, about dim * eps * lambda_max
+    # floored at what eigvalsh resolves, about dim * eps * lambda_max, and
+    # at the square of the generator's rounding floor
     zero_tol = max(NULL_SPACE_RTOL ** 2, len(evals) * np.finfo(float).eps)
-    ground_dim = int(np.sum(evals <= zero_tol * max(float(evals[-1]), 0.0)))
+    cut = max(zero_tol * max(float(evals[-1]), 0.0), liouvillian.rounding_floor ** 2)
+    ground_dim = int(np.sum(evals <= cut))
     # ||M S - S M*||, with the exchange S applied as an index permutation
     dim = 2 ** ldl.n
     perm = np.arange(dim * dim).reshape(dim, dim).T.ravel()

@@ -71,6 +71,27 @@ IDENTITY_JUMP_SPEC = {
                "op": [[-0.4236059554266051, 1.2461123127354776, "I"]]}],
 }
 
+# H = 0 and a jump c*I + G with |G| << |c|: L = -i[1e-8 X, .] + 1e-16 D[X]
+# on the second qubit has sigma_max 2e-8, and the cancelling c*I terms
+# leave rounding residue of about eps on its null directions, above the
+# relative cut of 1e-10 * sigma_max; its exact steady space (the commutant
+# of IX) has dimension 8
+RANK_FLOOR_SPEC = {
+    "n": 2,
+    "hamiltonian": [],
+    "jumps": [{"rate": 1.0, "op": [[0.0, 1.0, "II"], [1e-08, 0.0, "IX"]]}],
+}
+
+# two driven, damped qubits at the exceptional point Omega = gamma / 4:
+# the generator has a 3x3 Jordan block at -1.5 and an eigenvector
+# condition of about 3.5e10, so it is not diagonalizable
+EXCEPTIONAL_POINT_SPEC = {
+    "n": 2,
+    "hamiltonian": [[0.125, 0.0, "XI"], [0.125, 0.0, "IX"]],
+    "jumps": [{"rate": 1.0, "op": [[0.5, 0.0, "XI"], [0.0, 0.5, "YI"]]},
+              {"rate": 1.0, "op": [[0.5, 0.0, "IX"], [0.0, 0.5, "IY"]]}],
+}
+
 
 def sigma_minus():
     return PauliSum.from_letter_terms([(0.5, "X"), (0.5j, "Y")])

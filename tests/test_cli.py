@@ -1,9 +1,18 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
 import warnings
 
 import numpy as np
 import pytest
-from conftest import IDENTITY_JUMP_SPEC, rand_lme_spec
+from conftest import (
+    EXCEPTIONAL_POINT_SPEC,
+    IDENTITY_JUMP_SPEC,
+    RANK_FLOOR_SPEC,
+    rand_lme_spec,
+)
 
 from lgw import cli
 from lgw.lindblad import JumpChannel, LmeSpec, lme_to_json_dict
@@ -362,13 +371,70 @@ def test_cancelling_generator_has_every_state_steady(tmp_path, capsys):
     obs = tmp_path / "obs.txt"
     obs.write_text(format_pauli_sum(PauliSum.from_letter_terms([(1.0, "ZZ")])))
     capsys.readouterr()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+    # measure refuses the degenerate space before any PSD repair warns
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         rc = cli.main(["measure", "--spec", str(path), "--observable", str(obs),
                        "--shots", "200", "--out", str(tmp_path)])
     assert rc == cli.EXIT_NO_STEADY_STATE
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and "need a unique steady state" in err[0]
+    assert caught == []
+    assert capsys.readouterr().err == (
+        "error[steady_state] need a unique steady state, found 4\n"
+    )
+
+
+def test_steady_space_below_rounding_of_the_terms(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(RANK_FLOOR_SPEC))
+    assert cli.main(["steady", "--spec", str(path), "--out", str(tmp_path)]) \
+        == cli.EXIT_OK
+    report = json.loads((tmp_path / "steady_report.json").read_text())
+    assert report["spectral"]["steady_dim"] == 8 and len(report["states"]) == 8
+    assert cli.main(["verify", "--spec", str(path), "--out", str(tmp_path)]) \
+        == cli.EXIT_OK
+    props = json.loads((tmp_path / "verify_report.json").read_text())["properties"]
+    assert props["steady_dim"] == props["ground_dim"] == 8
+    assert capsys.readouterr().err == ""
+
+
+def test_steady_at_exceptional_point(tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(EXCEPTIONAL_POINT_SPEC))
+    assert cli.main(["steady", "--spec", str(path), "--out", str(tmp_path)]) \
+        == cli.EXIT_OK
+    spectral = json.loads((tmp_path / "steady_report.json").read_text())["spectral"]
+    assert spectral["diagonalizable"] is False and spectral["steady_dim"] == 1
+    assert spectral["mixing_time_estimate"] > 0
+
+
+def test_runtime_needs_numpy_alone(tmp_path):
+    # a None entry in sys.modules makes every scipy import raise
+    steady_spec = tmp_path / "steady.json"
+    steady_spec.write_text(json.dumps(EXCEPTIONAL_POINT_SPEC))
+    spec = sigma_minus_spec_file(tmp_path)
+    obs = tmp_path / "obs.txt"
+    obs.write_text(format_pauli_sum(PauliSum.from_letter_terms([(1.0, "ZZ")])))
+    script = textwrap.dedent(f"""
+        import sys
+        sys.modules["scipy"] = None
+        from lgw import cli
+        runs = [
+            ["steady", "--spec", {str(steady_spec)!r}],
+            ["verify", "--spec", {str(spec)!r}],
+            ["measure", "--spec", {str(spec)!r}, "--observable", {str(obs)!r},
+             "--shots", "400"],
+        ]
+        for argv in runs:
+            assert cli.main(argv + ["--out", {str(tmp_path)!r}]) == 0, argv
+        loaded = [k for k, m in sys.modules.items()
+                  if k.startswith("scipy") and m is not None]
+        assert not loaded, loaded
+    """)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
 
 
 def test_linalg_error_is_one_error_line(tmp_path, monkeypatch, capsys):

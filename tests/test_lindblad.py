@@ -7,6 +7,8 @@ import scipy.linalg
 from scipy.optimize import linear_sum_assignment
 
 from conftest import (
+    EXCEPTIONAL_POINT_SPEC,
+    RANK_FLOOR_SPEC,
     rand_lme_spec,
     rand_pure_rho,
     rand_rho,
@@ -25,6 +27,7 @@ from lgw.lindblad import (
     LmeSpec,
     SpectralReport,
     SuperOp,
+    _expm,
     _mixing_time_estimate,
     _null_space,
     build_ldl,
@@ -423,6 +426,22 @@ def test_null_space_rank_rule_uses_global_sigma_max():
     assert np.abs(np.abs(_null_space(liouv.matrix)) - want).max() < 1e-15
 
 
+def test_null_space_rank_rule_floored_at_rounding_of_the_terms():
+    # sigma_max of L is 2e-8, so the relative cut sits at 2e-18, below the
+    # rounding residue that the cancelling c*I terms leave on the null
+    # directions; the floor at 4^n * eps * (term scale) recovers the exact
+    # steady space, the commutant of X on the second qubit
+    spec = lme_from_json_dict(RANK_FLOOR_SPEC)[0]
+    liouv = build_liouvillian(spec)
+    assert liouv.rounding_floor > 0 and liouv.null_basis.shape[1] == 8
+    assert _null_space(liouv.matrix).shape[1] == 0
+    x2 = to_matrix(PauliSum.from_letter_terms([(1.0, "IX")]))
+    for vec in liouv.null_basis.T:
+        mat = vec.reshape(4, 4)
+        assert np.abs(x2 @ mat - mat @ x2).max() < 1e-6
+    assert verify_ldl_properties(build_ldl(spec)[0], liouv).ground_dim == 8
+
+
 def test_blocks_are_factored_once_each(monkeypatch):
     liouv = xxz_liouvillian(3, 12)
     blocks = [liouv.matrix[np.ix_(idx, idx)] for idx in liouv.blocks]
@@ -480,6 +499,12 @@ def test_mixing_estimate_none_when_distance_overflows():
     assert _mixing_time_estimate(liouv, 1.0, True, 2, 0) is None
 
 
+def test_mixing_estimate_none_when_matrix_exponential_overflows():
+    # the same growing mode on the route of non-diagonalizable generators
+    liouv = SuperOp(1, np.diag([0.0, -1.0, -1.0, 0.5]).astype(complex))
+    assert _mixing_time_estimate(liouv, 1.0, False, 2, 0) is None
+
+
 def test_mixing_estimate_halves_trace_distance():
     rng = np.random.default_rng(30)
     spec, liouv = unique_steady_spec(1, rng)
@@ -488,12 +513,61 @@ def test_mixing_estimate_halves_trace_distance():
     assert t is not None and t > 0
     d1, d2 = rand_rho(1, rng), rand_rho(1, rng)
     delta = (d1.matrix - d2.matrix).reshape(-1)
-    import scipy.linalg
-
     prop = scipy.linalg.expm(liouv.matrix * t)
     assert trace_norm((prop @ delta).reshape(2, 2)) <= trace_norm(
         delta.reshape(2, 2)
     ) / 2 + 1e-9
+
+
+def test_non_diagonalizable_mixing_estimate_halves_trace_distance():
+    liouv = build_liouvillian(lme_from_json_dict(EXCEPTIONAL_POINT_SPEC)[0])
+    report = spectral_diagnostics(liouv, mixing_probes=4, seed=5)
+    assert not report.diagonalizable and report.steady_dim == 1
+    t = report.mixing_time_estimate
+    assert t is not None and t > 0
+    prop = scipy.linalg.expm(liouv.matrix * t)
+    rng = np.random.default_rng(32)
+    for _ in range(8):
+        delta = rand_rho(2, rng).matrix - rand_rho(2, rng).matrix
+        after = (prop @ delta.reshape(-1)).reshape(4, 4)
+        assert trace_norm(after) <= trace_norm(delta) / 2 + 1e-9
+
+
+def expm_gap(a):
+    """Largest deviation of _expm from scipy's expm, relative to the
+    largest entry of the latter."""
+    want = scipy.linalg.expm(a)
+    return np.abs(_expm(a) - want).max() / np.abs(want).max()
+
+
+def test_expm_matches_scipy_on_xxz_blocks():
+    liouv = xxz_liouvillian(4, 5)
+    assert len(liouv.blocks) == 9
+    for mat in liouv.block_matrices():
+        for t in (0.01, 0.3, 3.0, 30.0, 300.0):
+            assert expm_gap(mat * t) < 1e-11
+
+
+@pytest.mark.parametrize("size", [1, 2, 7, 40, 252])
+def test_expm_matches_scipy_on_random_decaying_matrices(size):
+    rng = np.random.default_rng(size)
+    for scale in (1e-3, 0.4, 3.0, 30.0, 300.0):
+        g = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+        # the shift by -1.1 * scale moves the spectrum of a matrix of
+        # 1-norm scale into the open left half plane
+        a = g * (scale / np.abs(g).sum(axis=0).max()) - 1.1 * scale * np.eye(size)
+        assert expm_gap(a) < 1e-11
+
+
+@pytest.mark.parametrize("size", [2, 3])
+def test_expm_matches_scipy_on_jordan_blocks(size):
+    jordan = -1.5 * np.eye(size) + np.eye(size, k=1)
+    for t in (0.01, 1.0, 10.0, 100.0):
+        assert expm_gap(jordan * t) < 1e-11
+
+
+def test_expm_of_zero_is_identity():
+    assert np.array_equal(_expm(np.zeros((3, 3), dtype=complex)), np.eye(3))
 
 
 def test_runtime_bound_values():

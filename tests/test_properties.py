@@ -14,9 +14,9 @@ import numpy as np
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import IDENTITY_JUMP_SPEC
+from conftest import EXCEPTIONAL_POINT_SPEC, IDENTITY_JUMP_SPEC, RANK_FLOOR_SPEC
 from lgw import cli
-from lgw.lindblad import _null_space, build_liouvillian, lme_from_json_dict
+from lgw.lindblad import _block_null_space, build_liouvillian, lme_from_json_dict
 
 # a degenerate steady space with an anti-Hermitian null vector, whose
 # Hermitian part is zero: steady_report.json once held NaN for it
@@ -73,13 +73,15 @@ def cases(draw):
 
 
 def _run(argv):
-    """Exit code and stderr lines of ``cli.main(argv)``; warnings are
-    dropped (``measure`` lets a failed PSD repair through)."""
+    """Exit code and stderr lines of ``cli.main(argv)``, which must emit no
+    warning: ``steady`` records them in its report."""
     err = io.StringIO()
     with contextlib.redirect_stderr(err), \
-            contextlib.redirect_stdout(io.StringIO()), warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+            contextlib.redirect_stdout(io.StringIO()), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         rc = cli.main(argv)
+    assert caught == [], [str(w.message) for w in caught]
     return rc, err.getvalue().splitlines()
 
 
@@ -130,13 +132,16 @@ def _check_front_door(spec, observable, out):
         assert steady_dim > 1
         assert len(err) == 1 and err[0].startswith("error")
 
-    # library-level: trace preservation and the block rank rule
+    # library-level: trace preservation and the block rank rule against
+    # one SVD of the whole generator
     liouv = build_liouvillian(lme_from_json_dict(spec)[0])
     dim = 2 ** spec["n"]
     left = np.eye(dim).reshape(-1) @ liouv.matrix
     assert np.abs(left).max() <= 1e-12 * max(1.0, np.abs(liouv.matrix).max())
     assert steady_dim == liouv.null_basis.shape[1]
-    assert steady_dim == _null_space(liouv.matrix).shape[1]
+    whole = _block_null_space([liouv.matrix], [np.arange(dim * dim)],
+                              liouv.rounding_floor)
+    assert steady_dim == whole.shape[1]
 
 
 @settings(max_examples=200, derandomize=True, deadline=None,
@@ -144,6 +149,8 @@ def _check_front_door(spec, observable, out):
 @given(cases())
 @example((IDENTITY_JUMP_SPEC, [(1.0, "ZI"), (0.5, "XX")]))
 @example((ANTI_HERMITIAN_SPEC, [(1.0, "IIII"), (1.0, "IIIX")]))
+@example((RANK_FLOOR_SPEC, [(1.0, "ZIII"), (0.5, "IXIX")]))
+@example((EXCEPTIONAL_POINT_SPEC, [(1.0, "ZIZI"), (0.5, "XXII")]))
 def test_front_door_properties(case):
     spec, observable = case
     with tempfile.TemporaryDirectory() as out:
