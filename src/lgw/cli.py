@@ -276,14 +276,18 @@ def cmd_verify(args) -> int:
     props = lindblad.verify_ldl_properties(ldl, liouv)
     spectral = lindblad.spectral_diagnostics(liouv, mixing_probes=3, seed=args.seed)
 
-    # each brute-force entry against its own matrix and against the
-    # closed-form substitute that the estimator uses
+    # each brute-force entry against its own matrix, against the closed-form
+    # substitute, and against the word read that the estimator uses
     table_ok = True
-    for word, entry in measure.build_table().items():
-        closed = measure.substitute_pauli(PauliString.from_letters(word))
+    rho1 = lindblad.random_density_matrix(1, np.random.default_rng(args.seed))
+    two_copies = np.kron(rho1.matrix, rho1.matrix)
+    for letters, entry in measure.build_table().items():
+        word = PauliString.from_letters(letters)
         table_ok &= bool(
             np.abs(entry.b.to_matrix() - entry.matrix).max() <= 1e-12
-            and closed.max_coeff_diff(entry.b) <= 1e-12
+            and measure.substitute_pauli(word).max_coeff_diff(entry.b) <= 1e-12
+            and abs(measure._word_read(word, rho1)
+                    - np.trace(entry.matrix @ two_copies)) <= 1e-12
         )
 
     rng = np.random.default_rng(args.seed)

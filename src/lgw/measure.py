@@ -8,11 +8,13 @@ operator B, obtained by a pure index permutation, such that
 A Pauli word A = P (x) Q has the unitary substitute s A SWAP, with SWAP
 exchanging the two copies and s = (-1)^(Y letters of Q), so the numerator
 is a weighted sum of Hadamard-test expectations and the denominator is a
-Swap-test expectation.  This module provides the closed-form
-substitutes, the 16-entry two-qubit table generated by brute force from
-the index rule as their oracle, exact evaluation, shot-level sampling of
-both tests, and the ratio estimator with its bias/variance/MSE
-accounting.
+Swap-test expectation.  The sampled estimator reads each term c A at word
+level, as c Tr(P rho Q^T rho), and never forms its substitute.  The
+closed-form substitutes, with the 16-entry two-qubit table generated by
+brute force from the index rule as their oracle, are ``lgw verify``'s
+check of that word read and the tests' oracle.  The module also provides
+exact evaluation, shot-level sampling of both tests, and the ratio
+estimator with its bias/variance/MSE accounting.
 """
 
 from __future__ import annotations
@@ -120,56 +122,17 @@ def substitute_pauli(word: PauliString) -> PauliSum:
     ))
 
 
-def substitute_terms(a: PauliSum) -> list[tuple[float, PauliString, PauliSum]]:
-    """Per-term substitutes of a doubled-register observable.
-
-    Returns one (weight, source word, unitary substitute) triple per
-    Pauli term of ``a``, in canonical term order.
-    """
-    if a.n % 2:
-        raise DimensionError("observable must live on a doubled (even) register")
-    out = []
-    for word, coeff in a.sorted_terms():
-        out.append((coeff.real if abs(coeff.imag) <= 1e-12 else coeff,
-                    word, substitute_pauli(word)))
-    return out
-
-
 def substitute(a: PauliSum) -> PauliSum:
-    """Substitute operator of a doubled-register sum, term by term."""
+    """Substitute operator of a doubled-register sum, term by term in
+    canonical term order."""
     out = PauliSum.zero(a.n)
-    for coeff, _, q in substitute_terms(a):
-        out = out + q * coeff
+    for word, coeff in a.sorted_terms():
+        weight = coeff.real if abs(coeff.imag) <= 1e-12 else coeff
+        out = out + substitute_pauli(word) * weight
     return out
 
 
 # -- exact evaluation ---------------------------------------------------------
-
-
-def _pauli_traces(rho: DensityMatrix) -> dict[PauliString, complex]:
-    """Tr(P rho) for every word with nonzero weight in rho."""
-    dec = pauli_decompose(rho.matrix)
-    scale = 2 ** rho.n
-    return {w: c * scale for w, c in dec.terms.items()}
-
-
-def trace_with_two_copies(q: PauliSum, rho: DensityMatrix) -> complex:
-    """Tr(Q rho(x)rho) for a doubled-register sum Q, via the split
-    Tr((P1(x)P2)(rho(x)rho)) = Tr(P1 rho) Tr(P2 rho)."""
-    if q.n != 2 * rho.n:
-        raise DimensionError("operator does not match two copies of rho")
-    traces = _pauli_traces(rho)
-    total = 0.0 + 0.0j
-    for word, coeff in q.terms.items():
-        w1, w2 = word.halves()
-        t1 = traces.get(w1)
-        if t1 is None or t1 == 0:
-            continue
-        t2 = traces.get(w2)
-        if t2 is None:
-            continue
-        total += coeff * t1 * t2
-    return total
 
 
 def exact_expectation(a: PauliSum, rho: DensityMatrix) -> float:
@@ -208,21 +171,39 @@ def bell_amplitude(rho: DensityMatrix, p: PauliString) -> complex:
 # -- shot-level sampling ------------------------------------------------------
 
 
-def hadamard_sample(
-    q: PauliSum, rho: DensityMatrix, shots: int, seed: int, stream: int = 0
-) -> float:
-    """Simulated Hadamard test for Re Tr(Q rho(x)rho).
+def _word_read(word: PauliString, rho: DensityMatrix) -> complex:
+    """Tr(P rho Q^T rho) for a doubled-register word A = P (x) Q: the
+    Hadamard-test numerator Tr(s A SWAP rho(x)rho) of its substitute,
+    without forming the substitute."""
+    if word.n != 2 * rho.n:
+        raise DimensionError("operator does not match two copies of rho")
+    p, q = word.halves()
+    r = rho.matrix
+    return complex(np.sum((p.to_matrix() @ r) * (q.to_matrix().T @ r).T))
 
-    Draws ``shots`` +-1 outcomes with P(+1) = (1 + Re Tr(Q rho(x)rho))/2
-    computed exactly, and returns their mean.  Deterministic in
-    (seed, stream).
+
+def hadamard_sample(
+    a: PauliSum, rho: DensityMatrix, shots: int, seed: int, stream: int = 0
+) -> float:
+    """Simulated Hadamard test of the substitute of one word c A.
+
+    Draws ``shots`` +-1 outcomes with P(+1) = (1 + x)/2, where
+    x = Re(c Tr(P rho Q^T rho)) = Re Tr(c s A SWAP rho(x)rho) is computed
+    exactly at word level, and returns their mean.  The substitute
+    c s A SWAP is unitary iff |c| = 1, so ``a`` must be a single word
+    with unit-modulus coefficient.  Deterministic in (seed, stream).
     """
     if shots < 1:
         raise ValidationError("need at least one shot")
-    defect = q.unitarity_defect()
+    if len(a) != 1:
+        raise ValidationError(
+            f"a Hadamard read takes one word c*A, got {len(a)} terms"
+        )
+    ((word, coeff),) = a.terms.items()
+    defect = abs(abs(coeff) ** 2 - 1.0)
     if defect > 1e-10:
         raise ValidationError(f"substitute is not unitary (defect {defect:.3e})")
-    x = trace_with_two_copies(q, rho).real
+    x = (coeff * _word_read(word, rho)).real
     if abs(x) > 1.0 + 1e-9:
         raise WorkbenchError(
             f"|Re Tr(Q rho(x)rho)| = {abs(x):.12f} > 1: inconsistent inputs"
@@ -253,7 +234,6 @@ class MeasurementPlan:
     observable: PauliSum
     weights: tuple[float, ...]
     words: tuple[PauliString, ...]
-    substitutes: tuple[PauliSum, ...]
     n_h: int
     n_s: int
     seed: int
@@ -273,12 +253,15 @@ class MeasurementPlan:
             )
         if not observable.is_hermitian():
             raise ValidationError("observable weights must be real")
-        triples = substitute_terms(observable)
+        if observable.n % 2:
+            raise DimensionError(
+                "observable must live on a doubled (even) register"
+            )
+        terms = observable.sorted_terms()
         return cls(
             observable=observable,
-            weights=tuple(float(g) for g, _, _ in triples),
-            words=tuple(w for _, w, _ in triples),
-            substitutes=tuple(q for _, _, q in triples),
+            weights=tuple(float(c.real) for _, c in terms),
+            words=tuple(w for w, _ in terms),
             n_h=n_h,
             n_s=n_s,
             seed=seed,
@@ -372,8 +355,9 @@ def estimate_expectation(
         raise DimensionError("plan observable does not match two copies of rho")
     shots = plan.shots_per_term()
     numerator = 0.0
-    for i, (g, q) in enumerate(zip(plan.weights, plan.substitutes)):
-        numerator += g * hadamard_sample(q, rho, shots[i], plan.seed, stream=i)
+    for i, (g, w) in enumerate(zip(plan.weights, plan.words)):
+        numerator += g * hadamard_sample(PauliSum.from_term(w), rho, shots[i],
+                                         plan.seed, stream=i)
     purity_est = swap_sample(rho, plan.n_s, plan.seed)
     if purity_est <= 0:
         raise IllConditionedRatioError(

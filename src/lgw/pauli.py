@@ -37,9 +37,8 @@ _LETTER_TO_BITS = {v: k for k, v in _BITS_TO_LETTER.items()}
 _I4 = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 _I4_ARRAY = np.array(_I4)
 
-# Word products per block in PauliSum.unitarity_defect, and matrix entries
-# per block in to_matrix: keeps each of the block's temporaries near 1-2 MB
-# whatever the term count.
+# Matrix entries per block in to_matrix: keeps each of the block's
+# temporaries near 1-2 MB whatever the term count.
 _PRODUCT_BLOCK = 1 << 15
 
 
@@ -260,36 +259,6 @@ class PauliSum:
             np.fromiter((w.z for w in self.terms), dtype=np.int64, count=m),
             np.fromiter(self.terms.values(), dtype=complex, count=m),
         )
-
-    def unitarity_defect(self) -> float:
-        """Largest coefficient of Q†Q - I for this sum Q.
-
-        The same quantity as
-        ``(q.dagger() @ q).max_coeff_diff(PauliSum.identity(q.n))``, with
-        the word products done in numpy blocks by the phase rule of
-        ``PauliString.mul``.  The products accumulate into one entry per
-        possible word, 4^n in all, so the dense cap applies.
-        """
-        n = self.n
-        check_dense(n)
-        x, z, c = self._word_arrays()
-        m = len(c)
-        y = np.bitwise_count(x & z).astype(np.int64)
-        acc = np.zeros(4 ** n, dtype=complex)
-        rows = max(1, _PRODUCT_BLOCK // max(m, 1))
-        for lo in range(0, m, rows):
-            # rows of Q† (conjugated coefficients) times every word of Q
-            a, b = x[lo:lo + rows, None], z[lo:lo + rows, None]
-            px, pz = a ^ x, b ^ z
-            expo = (
-                y[lo:lo + rows, None] + y
-                + 2 * np.bitwise_count(b & x) - np.bitwise_count(px & pz)
-            ) & 3
-            coeff = c[lo:lo + rows, None].conj() * c * _I4_ARRAY[expo]
-            np.add.at(acc, ((px << n) | pz).ravel(), coeff.ravel())
-        acc[np.abs(acc) < COEFF_PRUNE_TOL] = 0.0
-        acc[0] -= 1.0
-        return float(np.abs(acc).max())
 
     # -- involutions ----------------------------------------------------
 

@@ -1,7 +1,8 @@
 import numpy as np
 
+from lgw.errors import DimensionError
 from lgw.lindblad import DensityMatrix, JumpChannel, LmeSpec, build_liouvillian
-from lgw.pauli import PauliString, PauliSum
+from lgw.pauli import PauliString, PauliSum, pauli_decompose
 
 LETTERS = "IXYZ"
 
@@ -21,6 +22,32 @@ def rand_pure_rho(n, rng):
 
 def rand_word(n, rng):
     return PauliString.from_letters("".join(rng.choice(list(LETTERS), size=n)))
+
+
+def _pauli_traces(rho):
+    """Tr(P rho) for every word with nonzero weight in rho."""
+    dec = pauli_decompose(rho.matrix)
+    scale = 2 ** rho.n
+    return {w: c * scale for w, c in dec.terms.items()}
+
+
+def trace_with_two_copies(q, rho):
+    """Oracle for Tr(Q rho(x)rho) of a doubled-register sum Q, via the split
+    Tr((P1(x)P2)(rho(x)rho)) = Tr(P1 rho) Tr(P2 rho)."""
+    if q.n != 2 * rho.n:
+        raise DimensionError("operator does not match two copies of rho")
+    traces = _pauli_traces(rho)
+    total = 0.0 + 0.0j
+    for word, coeff in q.terms.items():
+        w1, w2 = word.halves()
+        t1 = traces.get(w1)
+        if t1 is None or t1 == 0:
+            continue
+        t2 = traces.get(w2)
+        if t2 is None:
+            continue
+        total += coeff * t1 * t2
+    return total
 
 
 def rand_hermitian_sum(n, rng, terms=4):

@@ -4,7 +4,8 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import rand_rho, rand_word, sigma_minus_spec
+from conftest import rand_rho, rand_word, sigma_minus_spec, trace_with_two_copies
+from lgw import measure
 from lgw.errors import (
     DegenerateObservableError,
     DimensionError,
@@ -23,13 +24,12 @@ from lgw.measure import (
     hadamard_sample,
     half_shots,
     observable_norms,
+    sampled_estimate,
     shot_budget,
     substitute,
     substitute_matrix,
     substitute_pauli,
-    substitute_terms,
     swap_sample,
-    trace_with_two_copies,
 )
 from lgw.pauli import (
     PAULI_MATRICES,
@@ -201,17 +201,18 @@ def test_substitute_term_count_and_unitarity():
         while len(words) < 3:
             words.add(rand_word(2 * n, rng))
         a = PauliSum(2 * n, {w: rng.normal() for w in words})
-        triples = substitute_terms(a)
-        assert len(triples) == len(a)
-        for _, _, q in triples:
+        total = PauliSum.zero(2 * n)
+        for word, coeff in a.sorted_terms():
+            q = substitute_pauli(word)
             assert (q.dagger() @ q).max_coeff_diff(PauliSum.identity(2 * n)) < 1e-10
+            total = total + q * coeff.real
+        assert substitute(a).max_coeff_diff(total) == 0.0
 
 
 def test_unitarity_defect_of_substitutes_is_zero():
     rng = np.random.default_rng(72)
     for n in (2, 4, 6, 8, 10):
         q = substitute_pauli(rand_word(n, rng))
-        assert q.unitarity_defect() == 0.0
         assert (q.dagger() @ q).max_coeff_diff(PauliSum.identity(n)) == 0.0
 
 
@@ -273,49 +274,83 @@ def test_imaginary_parts_cancel_for_hermitian_observables():
         assert abs(trace_with_two_copies(b, rho).imag) < 1e-11
 
 
+def word_sum(letters, coeff=1.0):
+    return PauliSum.from_term(PauliString.from_letters(letters), coeff)
+
+
 def test_hadamard_sample_exact_cases():
     rng = np.random.default_rng(46)
     rho = rand_rho(1, rng)
-    q_ii = substitute_pauli(PauliString.from_letters("II"))
-    # the swap-pattern substitute measures the purity, exactly +1-biased
-    est = hadamard_sample(q_ii, rho, 200_000, seed=1)
+    # the identity word reads Tr(rho rho), the purity: exactly +1-biased
+    est = hadamard_sample(word_sum("II"), rho, 200_000, seed=1)
     assert abs(est - rho.purity()) < 5 * (1.0 / np.sqrt(200_000))
     pure = DensityMatrix.pure(np.array([1.0, 0.0]))
-    q_zz = substitute_pauli(PauliString.from_letters("ZZ"))
-    assert hadamard_sample(q_zz, pure, 100, seed=2) == 1.0
+    assert hadamard_sample(word_sum("ZZ"), pure, 100, seed=2) == 1.0
 
 
 def test_hadamard_sample_five_sigma():
     rng = np.random.default_rng(47)
     rho = rand_rho(1, rng)
-    q = substitute_pauli(PauliString.from_letters("XY"))
-    truth = trace_with_two_copies(q, rho).real
+    a = word_sum("XY")
+    truth = trace_with_two_copies(substitute(a), rho).real
     shots = 100_000
-    est = hadamard_sample(q, rho, shots, seed=3)
+    est = hadamard_sample(a, rho, shots, seed=3)
     sigma = np.sqrt(max(1.0 - truth ** 2, 1e-12) / shots)
     assert abs(est - truth) < 5 * sigma
 
 
 def test_hadamard_rejects_non_unitary():
     rho = DensityMatrix.maximally_mixed(1)
-    a = PauliSum.from_letter_terms([(0.5, "II")])
     with pytest.raises(ValidationError):
-        hadamard_sample(a, rho, 10, seed=0)
+        hadamard_sample(word_sum("II", 0.5), rho, 10, seed=0)
 
 
 def test_hadamard_unitarity_gate():
+    # the substitute c s A SWAP of one word is unitary iff |c| = 1; the
+    # gate reads ||c|^2 - 1|, the identity coefficient of its Q†Q - I
     rho = rand_rho(2, np.random.default_rng(73))
-    q = substitute_pauli(PauliString.from_letters("XYZI"))
-    word, coeff = next(iter(q))
     for delta, unitary in ((1e-9, False), (1e-12, True)):
-        # moved along its own phase, the word adds 2*delta*|coeff| to the
-        # identity coefficient of Q†Q
-        moved = PauliSum(q.n, {**q.terms, word: coeff * (1 + delta / abs(coeff))})
+        moved = word_sum("XYZI", 1 + delta)
         if unitary:
             assert abs(hadamard_sample(moved, rho, 10, seed=0)) <= 1.0
         else:
             with pytest.raises(ValidationError, match="not unitary"):
                 hadamard_sample(moved, rho, 10, seed=0)
+    assert abs(hadamard_sample(word_sum("XYZI", 1j), rho, 10, seed=0)) <= 1.0
+    two_words = word_sum("XYZI") + word_sum("ZIII")
+    with pytest.raises(ValidationError, match="one word"):
+        hadamard_sample(two_words, rho, 10, seed=0)
+
+
+def test_word_read_matches_substitute_oracle():
+    # on seeded words of 1-4 qubit registers, the word read agrees with the
+    # traced substitute, and the seeded Hadamard outcomes are identical
+    rng = np.random.default_rng(74)
+    for i in range(320):
+        n = 1 + i % 4
+        rho = rand_rho(n, rng)
+        word = rand_word(2 * n, rng)
+        oracle = trace_with_two_copies(substitute_pauli(word), rho)
+        assert abs(measure._word_read(word, rho) - oracle) <= 1e-15, word
+        p = min(max((1.0 + oracle.real) / 2.0, 0.0), 1.0)
+        want = (2.0 * measure._rng(i, 7).binomial(100, p) - 100) / 100
+        assert hadamard_sample(PauliSum.from_term(word), rho, 100, i, 7) == want
+
+
+def test_sampled_estimate_builds_no_substitute(monkeypatch):
+    rng = np.random.default_rng(75)
+    rho = rand_rho(2, rng)
+    a = PauliSum.from_letter_terms([(1.0, "ZIZI"), (0.5, "XXII")])
+    want = sampled_estimate(a, rho, rho.purity(), 4000, None, 3)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sampled read builds no substitute")
+
+    monkeypatch.setattr(measure, "substitute_pauli", refuse)
+    monkeypatch.setattr(measure, "_swap", refuse)
+    got = sampled_estimate(a, rho, rho.purity(), 4000, None, 3)
+    assert got[1] == want[1]
+    assert got[0].to_json_dict() == want[0].to_json_dict()
 
 
 def test_swap_sample_values():

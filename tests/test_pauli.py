@@ -249,25 +249,6 @@ def test_text_format_rejects_bad_letters():
 def test_dense_cap():
     with pytest.raises(CapacityError):
         to_matrix(PauliSum.identity(13))
-    with pytest.raises(CapacityError):
-        PauliSum.identity(13).unitarity_defect()
     # refused before any buffer is allocated: 2^60 entries could not be
     with pytest.raises(CapacityError):
         to_matrix(PauliSum.from_letter_terms([(1.0, "XYZ" * 10)]))
-
-
-def loop_unitarity_defect(q):
-    """Reference: the defect read off the word-by-word product Q†Q."""
-    return (q.dagger() @ q).max_coeff_diff(PauliSum.identity(q.n))
-
-
-def test_unitarity_defect_matches_loop_on_random_sums():
-    rng = np.random.default_rng(71)
-    empty = PauliSum.zero(3)
-    assert empty.unitarity_defect() == loop_unitarity_defect(empty) == 1.0
-    for n in range(1, 9):
-        for terms in (1, 6, 40):
-            q = rand_pauli_sum(n, rng, terms)
-            want = loop_unitarity_defect(q)
-            # the summation order differs from the loop's
-            assert abs(q.unitarity_defect() - want) <= 1e-12 * max(1.0, want)
