@@ -29,6 +29,12 @@ from .errors import (
     WorkbenchError,
 )
 from .pauli import PauliString, PauliSum, parse_pauli_sum, pauli_decompose
+from .tolerances import (
+    HERMITICITY_TOL,
+    LEFT_HALF_PLANE_SLACK,
+    SPOT_CHECK_TOL,
+    SUBSTITUTE_TABLE_TOL,
+)
 
 DEFAULT_SEED = 0x4C4D4531
 
@@ -160,7 +166,7 @@ def cmd_pipeline(args) -> int:
     hermitian_defect = float(
         np.abs(liouv.matrix - liouv.matrix.conj().T).max()
     )
-    if hermitian_defect < 1e-10 and report.gap is not None:
+    if hermitian_defect < HERMITICITY_TOL and report.gap is not None:
         bound_kind, bound_value = "hermitian", report.gap
     elif report.mixing_time_estimate is not None:
         bound_kind, bound_value = "mixing", report.mixing_time_estimate
@@ -284,10 +290,11 @@ def cmd_verify(args) -> int:
     for letters, entry in measure.build_table().items():
         word = PauliString.from_letters(letters)
         table_ok &= bool(
-            np.abs(entry.b.to_matrix() - entry.matrix).max() <= 1e-12
-            and measure.substitute_pauli(word).max_coeff_diff(entry.b) <= 1e-12
+            np.abs(entry.b.to_matrix() - entry.matrix).max() <= SUBSTITUTE_TABLE_TOL
+            and (measure.substitute_pauli(word).max_coeff_diff(entry.b)
+                 <= SUBSTITUTE_TABLE_TOL)
             and abs(measure._word_read(word, rho1)
-                    - np.trace(entry.matrix @ two_copies)) <= 1e-12
+                    - np.trace(entry.matrix @ two_copies)) <= SUBSTITUTE_TABLE_TOL
         )
 
     rng = np.random.default_rng(args.seed)
@@ -311,9 +318,9 @@ def cmd_verify(args) -> int:
         ("st_symmetric", props.st_symmetric),
         ("ground_matches_steady", props.ground_matches_steady),
         ("spectrum_left_half_plane",
-         bool(np.max(spectral.eigenvalues.real) <= 1e-9)),
+         bool(np.max(spectral.eigenvalues.real) <= LEFT_HALF_PLANE_SLACK)),
         ("substitute_table", table_ok),
-        ("ratio_identity_spot_checks", bool(spot_err < 1e-11)),
+        ("ratio_identity_spot_checks", bool(spot_err < SPOT_CHECK_TOL)),
     ]
     width = max(len(name) for name, _ in checks)
     for name, ok in checks:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -24,8 +25,7 @@ from .lindblad import (
 )
 from .measure import exact_expectation, sampled_estimate
 from .pauli import PauliString, PauliSum, check_dense, pauli_decompose
-
-UNITARY_TOL = 1e-10
+from .tolerances import UNITARY_TOL
 
 
 def _check_unitary(mat: np.ndarray, what: str) -> None:
@@ -180,10 +180,12 @@ def feynman_steady_state(circuit: CircuitSpec) -> DensityMatrix:
     return DensityMatrix(circuit.n + q, rho / (t_depth + 1))
 
 
+@cache
 def final_qubit_one_observable(n_system: int, depth: int) -> PauliSum:
     """The doubled-register observable behind the output probability:
     Z on system qubit 0 and the |T><T| clock projector on the row
-    register, identity on the column register."""
+    register, identity on the column register.  Cached, so every read of
+    one circuit shape shares one sum and its ``observable_norms``."""
     q = clock_qubit_count(depth)
     z_part = PauliSum.from_term(PauliString(n_system + q, x=0, z=1))
     proj = PauliSum.identity(n_system + q)

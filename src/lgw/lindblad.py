@@ -25,11 +25,24 @@ from .errors import (
     WorkbenchError,
 )
 from .pauli import PauliSum, check_dense, to_matrix
-
-NULL_SPACE_RTOL = 1e-10       # singular values below rtol*s_max span the null space
-HERMITICITY_TOL = 1e-10
-TRACE_TOL = 1e-10
-PSD_SLACK = 1e-9
+from .tolerances import (
+    DECAY_RATE_FLOOR,
+    DIAGONALIZABLE_COND_MAX,
+    EVOLVE_TRACE_DRIFT_TOL,
+    EXCHANGE_PAIRING_TOL,
+    GROUND_ENERGY_TOL,
+    HERMITICITY_TOL,
+    LDL_FORMS_TOL,
+    LDL_NEGATIVE_SLACK,
+    NULL_SPACE_RTOL,
+    PAULI_HERMITICITY_TOL,
+    PSD_SLACK,
+    REPAIR_MASS_MAX,
+    ST_COMMUTATOR_TOL,
+    STEADY_TRACE_FLOOR,
+    TRACE_TOL,
+    ZERO_FLOOR,
+)
 
 
 @dataclass(frozen=True)
@@ -57,7 +70,9 @@ class LmeSpec:
         if self.hamiltonian.n != self.n:
             raise DimensionError("Hamiltonian qubit count differs from spec")
         if not self.hamiltonian.is_hermitian():
-            raise ValidationError("Hamiltonian must be Hermitian (within 1e-12)")
+            raise ValidationError(
+                f"Hamiltonian must be Hermitian (within {PAULI_HERMITICITY_TOL:g})"
+            )
         for ch in self.jumps:
             if ch.op.n != self.n:
                 raise DimensionError("jump operator qubit count differs from spec")
@@ -204,7 +219,7 @@ def vectorize(rho: DensityMatrix) -> DmVector:
     """Flatten rho row-major and normalize by ||rho||_F."""
     vec = rho.matrix.reshape(-1)
     norm = float(np.linalg.norm(vec))
-    if norm < 1e-300:
+    if norm < ZERO_FLOOR:
         raise NormalizationError("cannot vectorize the zero matrix")
     return DmVector(rho.n, vec / norm)
 
@@ -291,7 +306,7 @@ def build_ldl(spec: LmeSpec) -> tuple[SuperOp, PauliSum]:
     it is cross-checked entry by entry against the dense product L^dag L
     built by Kronecker products (an entrywise bound also bounds every
     Pauli coefficient, |Tr(P D)|/2^n <= max|D_ij|), and disagreement
-    beyond 1e-10 means a construction bug and raises.
+    beyond ``LDL_FORMS_TOL`` means a construction bug and raises.
     """
     liouv = build_liouvillian(spec)
     dense = liouv.matrix.conj().T @ liouv.matrix
@@ -300,12 +315,12 @@ def build_ldl(spec: LmeSpec) -> tuple[SuperOp, PauliSum]:
     )
     sym = lp.dagger() @ lp
     gap = float(np.abs(to_matrix(sym) - dense).max())
-    if gap > 1e-10:
+    if gap > LDL_FORMS_TOL:
         raise WorkbenchError(
             f"Pauli-sum and dense squared generators disagree by {gap:.3e}"
         )
     defect = exchange_symmetry_defect(sym)
-    if defect > 1e-10:
+    if defect > EXCHANGE_PAIRING_TOL:
         raise WorkbenchError(
             f"squared generator violates exchange-conjugation pairing by {defect:.3e}"
         )
@@ -376,14 +391,14 @@ def steady_state(liouv: SuperOp) -> list[DensityMatrix]:
     degenerate = False
     for herm in herms:
         tr = np.trace(herm).real
-        if abs(tr) < 1e-8:
+        if abs(tr) < STEADY_TRACE_FLOOR:
             degenerate = True
             break
         herm = herm / tr
         evals, evecs = np.linalg.eigh(herm)
         clipped = np.clip(evals, 0.0, None)
         repair_mass = float(np.sum(np.abs(evals - clipped)))
-        if repair_mass > 0.25:
+        if repair_mass > REPAIR_MASS_MAX:
             degenerate = True
             break
         fixed = (evecs * clipped) @ evecs.conj().T
@@ -440,7 +455,7 @@ def evolve(liouv: SuperOp, rho0: DensityMatrix, t: float, steps: int) -> Density
     mat = v.reshape(dim, dim)
     mat = (mat + mat.conj().T) / 2
     tr = np.trace(mat).real
-    if abs(tr - 1.0) > 1e-6:
+    if abs(tr - 1.0) > EVOLVE_TRACE_DRIFT_TOL:
         raise InstabilityError(
             f"trace drifted to {tr:.6f}; increase steps for t={t:.3g}"
         )
@@ -491,9 +506,6 @@ def trace_norm(mat: np.ndarray) -> float:
     return float(np.linalg.svd(mat, compute_uv=False).sum())
 
 
-DIAGONALIZABLE_COND_MAX = 1e8
-
-
 def spectral_diagnostics(
     liouv: SuperOp, mixing_probes: int = 6, seed: int = 0
 ) -> SpectralReport:
@@ -501,7 +513,7 @@ def spectral_diagnostics(
     mixing-time estimate (a lower bound: the true mixing time quantifies
     over all state pairs, the probes sample a few)."""
     evals = liouv.eigenvalues
-    nonzero_re = np.abs(evals.real)[np.abs(evals.real) > 1e-9]
+    nonzero_re = np.abs(evals.real)[np.abs(evals.real) > DECAY_RATE_FLOOR]
     gap = float(nonzero_re.min()) if nonzero_re.size else None
     # the condition number of the block-diagonal eigenvector matrix
     svals = [np.linalg.svd(vecs, compute_uv=False) for _, vecs in liouv.eig]
@@ -690,9 +702,9 @@ def verify_ldl_properties(ldl: SuperOp, liouvillian: SuperOp) -> LdlPropertyRepo
         ground_dim=ground_dim,
         st_commutator_norm=st_norm,
         steady_dim=steady_dim,
-        spectrum_nonnegative=bool(evals[0] >= -1e-9),
-        ground_energy_zero=bool(abs(evals[0]) < 1e-8),
-        st_symmetric=bool(st_norm < 1e-9),
+        spectrum_nonnegative=bool(evals[0] >= -LDL_NEGATIVE_SLACK),
+        ground_energy_zero=bool(abs(evals[0]) < GROUND_ENERGY_TOL),
+        st_symmetric=bool(st_norm < ST_COMMUTATOR_TOL),
         ground_matches_steady=ground_dim == steady_dim,
     )
 

@@ -34,6 +34,14 @@ from .errors import (
 )
 from .lindblad import DensityMatrix
 from .pauli import LETTERS, PauliString, PauliSum, pauli_decompose, to_matrix
+from .tolerances import (
+    NUMERATOR_IMAG_RTOL,
+    PAULI_HERMITICITY_TOL,
+    READ_OVERSHOOT_TOL,
+    TABLE_UNITARY_TOL,
+    UNITARY_TOL,
+    ZERO_FLOOR,
+)
 
 # Stream ids keep the counter-based generators independent: Hadamard
 # term i draws from stream i, the Swap test from its own named stream.
@@ -85,7 +93,7 @@ def build_table() -> dict[str, TableEntry]:
             bmat = substitute_matrix(amat)
             bsum = pauli_decompose(bmat)
             unit_defect = np.abs(bmat.conj().T @ bmat - np.eye(4)).max()
-            if unit_defect > 1e-12:
+            if unit_defect > TABLE_UNITARY_TOL:
                 raise WorkbenchError(
                     f"substitute of {word} failed unitarity by {unit_defect:.3e}"
                 )
@@ -127,7 +135,7 @@ def substitute(a: PauliSum) -> PauliSum:
     canonical term order."""
     out = PauliSum.zero(a.n)
     for word, coeff in a.sorted_terms():
-        weight = coeff.real if abs(coeff.imag) <= 1e-12 else coeff
+        weight = coeff.real if abs(coeff.imag) <= PAULI_HERMITICITY_TOL else coeff
         out = out + substitute_pauli(word) * weight
     return out
 
@@ -149,12 +157,12 @@ def exact_expectation(a: PauliSum, rho: DensityMatrix) -> float:
     dim = 2 ** rho.n
     a4 = to_matrix(a).reshape(dim, dim, dim, dim)
     num = np.einsum("ijkl,ji,kl->", a4, rho.matrix, rho.matrix)
-    if abs(num.imag) > 1e-11 * max(1.0, abs(num.real)):
+    if abs(num.imag) > NUMERATOR_IMAG_RTOL * max(1.0, abs(num.real)):
         raise WorkbenchError(
             f"numerator imaginary residue {num.imag:.3e} exceeds tolerance"
         )
     purity = rho.purity()
-    if purity < 1e-300:
+    if purity < ZERO_FLOOR:
         raise ValidationError("rho has zero purity")
     return float(num.real / purity)
 
@@ -201,10 +209,10 @@ def hadamard_sample(
         )
     ((word, coeff),) = a.terms.items()
     defect = abs(abs(coeff) ** 2 - 1.0)
-    if defect > 1e-10:
+    if defect > UNITARY_TOL:
         raise ValidationError(f"substitute is not unitary (defect {defect:.3e})")
     x = (coeff * _word_read(word, rho)).real
-    if abs(x) > 1.0 + 1e-9:
+    if abs(x) > 1.0 + READ_OVERSHOOT_TOL:
         raise WorkbenchError(
             f"|Re Tr(Q rho(x)rho)| = {abs(x):.12f} > 1: inconsistent inputs"
         )
@@ -316,10 +324,13 @@ class EstimateReport:
 ESTIMATE_CSV_HEADER = ",".join(f.name for f in fields(EstimateReport))
 
 
+@lru_cache(maxsize=1)
 def observable_norms(a: PauliSum) -> tuple[float, float, int]:
     """(spectral norm, Frobenius norm squared, term count) of a Hermitian
     observable; a one-word sum c*P has norm |c|, any other sum's spectral
-    norm is computed densely at desk scale."""
+    norm is computed densely at desk scale.  Cached for the last sum read,
+    keyed on its identity (sums are immutable), so repeated reads of one
+    observable diagonalize it once."""
     if len(a) == 1:
         (coeff,) = a.terms.values()
         return abs(coeff), a.frobenius_norm_sq(), 1

@@ -14,10 +14,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CapacityError, DimensionError, ValidationError
+from .tolerances import COEFF_PRUNE_TOL, PAULI_HERMITICITY_TOL
 
 LETTERS = "IXYZ"
-
-COEFF_PRUNE_TOL = 1e-14
 
 # Dense realizations are refused above this many qubits (4096x4096): the
 # superoperator of a generator on half as many, or two copies of a register.
@@ -285,8 +284,8 @@ class PauliSum:
 
     # -- queries ---------------------------------------------------------
 
-    def is_hermitian(self, tol: float = 1e-12) -> bool:
-        return self.hermiticity_defect() <= tol
+    def is_hermitian(self) -> bool:
+        return self.hermiticity_defect() <= PAULI_HERMITICITY_TOL
 
     def hermiticity_defect(self) -> float:
         return max((abs(c.imag) for c in self.terms.values()), default=0.0)

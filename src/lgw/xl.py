@@ -23,7 +23,6 @@ import numpy as np
 
 from .errors import (
     BudgetExceededError,
-    CapacityError,
     DimensionError,
     StructuralRejectionError,
     UnsolvableError,
@@ -31,17 +30,26 @@ from .errors import (
     WorkbenchError,
 )
 from .lindblad import exchange_symmetry_defect, pauli_liouvillian
-from .pauli import COEFF_PRUNE_TOL, PauliString, PauliSum
+from .pauli import PauliString, PauliSum
+from .tolerances import (
+    COEFF_PRUNE_TOL,
+    EXCHANGE_PAIRING_TOL,
+    EXPANSION_IMAG_TOL,
+    INFEASIBLE_TOL,
+    NEGATIVE_RATE_TOL,
+    PIVOT_RTOL,
+    RESIDUAL_TOL,
+    ROOT_DEDUPE_RTOL,
+    ROOT_FILTER_RTOL,
+    ROOT_IMAG_TOL,
+    SUBST_PRUNE_TOL,
+    TARGET_HERMITICITY_TOL,
+    ZERO_FLOOR,
+)
 
 Monomial = tuple[int, ...]          # sorted variable indices, () = constant
 
-PIVOT_RTOL = 1e-12                  # entries below rtol * row max count as zero
-INFEASIBLE_TOL = 1e-8               # 0 = c rows with |c| above this are fatal
-SUBST_PRUNE_TOL = 1e-6              # residual allowed when an equation closes
-ROOT_IMAG_TOL = 1e-8
-RESIDUAL_TOL = 1e-8                 # largest residual of a returned assignment
 NODE_BUDGET = 10_000                # search nodes before BudgetExceededError
-EXACT_COLUMN_CAP = 200              # rational elimination stays small
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -288,12 +296,12 @@ def build_mq_system(
             f"target on {target.n} qubits does not double the {ansatz.n}-qubit ansatz"
         )
     herm = target.hermiticity_defect()
-    if herm > 1e-10:
+    if herm > TARGET_HERMITICITY_TOL:
         raise StructuralRejectionError(
             f"target is not Hermitian (imaginary weight {herm:.3e})"
         )
     defect = exchange_symmetry_defect(target)
-    if defect > 1e-10:
+    if defect > EXCHANGE_PAIRING_TOL:
         raise StructuralRejectionError(
             f"target violates the exchange-conjugation pairing by {defect:.3e}; "
             f"no generator squares to it"
@@ -329,7 +337,7 @@ def build_mq_system(
             continue
         poly = polys.get(word, {})
         max_imag = max((abs(c.imag) for c in poly.values()), default=0.0)
-        if max_imag > 1e-9:
+        if max_imag > EXPANSION_IMAG_TOL:
             raise WorkbenchError(
                 f"expansion coefficient of {word.letters} has imaginary "
                 f"part {max_imag:.3e}"
@@ -465,7 +473,7 @@ def eliminate(lin: LinearizedSystem) -> LinearizedSystem:
                 continue
             for j, v in rows[p].items():
                 new = rows[i].get(j, 0.0) - factor * v
-                if abs(new) < 1e-300:
+                if abs(new) < ZERO_FLOOR:
                     if j in rows[i]:
                         del rows[i][j]
                         members[j].discard(i)
@@ -487,56 +495,6 @@ def eliminate(lin: LinearizedSystem) -> LinearizedSystem:
             continue
         out_rows.append(dict(row))
         out_rhs.append(rhs[i])
-    return LinearizedSystem(lin.col_monomials, out_rows, out_rhs, inconsistent)
-
-
-def _eliminate_exact(lin: LinearizedSystem) -> LinearizedSystem:
-    """Rational-arithmetic elimination, the oracle ``eliminate`` is
-    tested against; small column spaces only."""
-    from fractions import Fraction
-
-    cols = len(lin.col_monomials)
-    if cols > EXACT_COLUMN_CAP:
-        raise CapacityError(
-            f"exact elimination is capped at {EXACT_COLUMN_CAP} columns, "
-            f"got {cols}"
-        )
-    rows = [
-        {j: Fraction(v).limit_denominator(10 ** 15) for j, v in row.items()}
-        for row in lin.rows
-    ]
-    rhs = [Fraction(v).limit_denominator(10 ** 15) for v in lin.rhs]
-    pivoted: set[int] = set()
-    for c in range(cols):
-        cand = [i for i in range(len(rows)) if i not in pivoted and rows[i].get(c)]
-        if not cand:
-            continue
-        p = max(cand, key=lambda i: (abs(rows[i][c]), -i))
-        pval = rows[p][c]
-        rows[p] = {j: v / pval for j, v in rows[p].items()}
-        rhs[p] /= pval
-        pivoted.add(p)
-        for i in range(len(rows)):
-            if i == p:
-                continue
-            factor = rows[i].get(c)
-            if not factor:
-                continue
-            for j, v in rows[p].items():
-                new = rows[i].get(j, Fraction(0)) - factor * v
-                if new:
-                    rows[i][j] = new
-                elif j in rows[i]:
-                    del rows[i][j]
-            rhs[i] -= factor * rhs[p]
-    out_rows, out_rhs, inconsistent = [], [], False
-    for row, b in zip(rows, rhs):
-        if not row:
-            if abs(float(b)) > INFEASIBLE_TOL:
-                inconsistent = True
-            continue
-        out_rows.append({j: float(v) for j, v in row.items()})
-        out_rhs.append(float(b))
     return LinearizedSystem(lin.col_monomials, out_rows, out_rhs, inconsistent)
 
 
@@ -601,10 +559,10 @@ def _acceptable_roots(coeffs: np.ndarray, role: str) -> list[float]:
         if role == "w":
             x = abs(x)               # slack roots carry a free sign; fix >= 0
         elif role == "lambda":
-            if x < -1e-8:
+            if x < -NEGATIVE_RATE_TOL:
                 continue
             x = max(x, 0.0)
-        if not any(abs(x - y) <= 1e-9 * (1.0 + abs(x)) for y in out):
+        if not any(abs(x - y) <= ROOT_DEDUPE_RTOL * (1.0 + abs(x)) for y in out):
             out.append(x)
     return sorted(out)
 
@@ -617,9 +575,8 @@ def _filter_by_all(
         ok = True
         for coeffs in polys:
             scale = np.abs(coeffs).max() or 1.0
-            if abs(np.polyval(coeffs[::-1], x)) > 1e-6 * scale * max(1.0, abs(x)) ** (
-                len(coeffs) - 1
-            ):
+            bound = ROOT_FILTER_RTOL * scale * max(1.0, abs(x)) ** (len(coeffs) - 1)
+            if abs(np.polyval(coeffs[::-1], x)) > bound:
                 ok = False
                 break
         if ok:

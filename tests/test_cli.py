@@ -514,6 +514,45 @@ def test_pipeline_xxz_chain_end_to_end(tmp_path):
     assert rc == cli.EXIT_OK
     report = json.loads((out / "pipeline_report.json").read_text())
     assert report["solution_residual"] < 1e-8
+    assert report["runtime_bound"]["kind"] == "mixing"
+
+
+def _jump_only_pipeline(tmp_path, letters, rates):
+    """Run ``lgw pipeline`` on one qubit with no Hamiltonian patterns and one
+    unit-weight jump per letter, targeting the square of ``rates``."""
+    jumps = tuple(PauliSum.from_letter_terms([(1.0, letter)]) for letter in letters)
+    target = LiouvillianAnsatz(1, (), jumps, locality=2).forward_ldl([], rates)
+    (tmp_path / "target.txt").write_text(format_pauli_sum(target))
+    (tmp_path / "ansatz.json").write_text(json.dumps(
+        {"type": "custom", "n": 1, "locality": 2, "hamiltonian": [],
+         "jumps": [[[1.0, 0.0, letter]] for letter in letters]}))
+    (tmp_path / "obs.txt").write_text(
+        format_pauli_sum(PauliSum.from_letter_terms([(1.0, "ZZ")])))
+    return cli.main(
+        ["pipeline", "--target", str(tmp_path / "target.txt"),
+         "--ansatz", str(tmp_path / "ansatz.json"),
+         "--observable", str(tmp_path / "obs.txt"), "--out", str(tmp_path)]
+    )
+
+
+def test_pipeline_hermitian_generator_takes_the_gap_bound(tmp_path):
+    # X and Z dephasing give a Hermitian generator with decay rates
+    # 2 * 0.4, 2 * 0.7 and 2 * (0.7 + 0.4)
+    assert _jump_only_pipeline(tmp_path, "XZ", [0.7, 0.4]) == cli.EXIT_OK
+    report = json.loads((tmp_path / "pipeline_report.json").read_text())
+    bound = report["runtime_bound"]
+    assert bound["kind"] == "hermitian"
+    assert bound["value"] == report["spectral"]["gap"]
+    assert abs(bound["value"] - 0.8) < 1e-8
+
+
+def test_pipeline_needs_unique_steady_state(tmp_path, capsys):
+    # Z dephasing alone keeps every diagonal state steady
+    assert _jump_only_pipeline(tmp_path, "Z", [0.4]) == cli.EXIT_NO_STEADY_STATE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error[steady_state] steady space has dimension 2")
+    assert not (tmp_path / "pipeline_report.json").exists()
 
 
 def test_xl_bench_empty_and_small(tmp_path):

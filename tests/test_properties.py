@@ -1,7 +1,8 @@
 """Property tests at the command-line front door: small random specs with
-zero rates, zero coefficients and identity-proportional jumps go through
-``steady``, ``verify`` and ``measure`` and must end in a documented exit
-code with a well-formed report."""
+zero rates, zero coefficients and identity-proportional jumps, and specs
+whose generators split into several blocks, go through ``steady``,
+``verify`` and ``measure`` and must end in a documented exit code with a
+well-formed report."""
 
 import contextlib
 import io
@@ -68,6 +69,40 @@ def cases(draw):
         "hamiltonian": [[c, 0.0, w] for c, w in ham],
         "jumps": [{"rate": j["rate"], "op": [list(t) for t in j["op"]]}
                   for j in jumps],
+    }
+    return spec, list(zip(obs_coeffs, obs_words))
+
+
+# two-qubit Hamiltonian terms and one-qubit jumps as (re, im, letter)
+# triples, all of which conserve the ket-minus-bra magnetization
+BLOCK_HAMILTONIAN_TERMS = {"ZZ": ["ZZ"], "XX+YY": ["XX", "YY"],
+                           "ZI": ["ZI"], "IZ": ["IZ"]}
+BLOCK_JUMPS = {"+": [(0.5, 0.0, "X"), (0.0, -0.5, "Y")],
+               "-": [(0.5, 0.0, "X"), (0.0, 0.5, "Y")],
+               "Z": [(1.0, 0.0, "Z")]}
+
+
+@st.composite
+def block_cases(draw):
+    """(spec dict, observable terms) on 2 qubits: 0-3 Hamiltonian terms
+    from {ZZ, XX+YY, Z on one qubit} and 0-4 jumps sigma+, sigma- or Z on
+    one qubit, so the generator conserves the ket-minus-bra magnetization
+    and has at least two blocks."""
+    ham = draw(st.lists(st.tuples(coefficients, st.sampled_from(
+        sorted(BLOCK_HAMILTONIAN_TERMS))), max_size=3))
+    jumps = draw(st.lists(st.tuples(st.floats(0.0, 2.0),
+                                    st.sampled_from(sorted(BLOCK_JUMPS)),
+                                    st.sampled_from([0, 1])), max_size=4))
+    obs_words = draw(st.lists(words(4), min_size=2, max_size=2, unique=True))
+    obs_coeffs = draw(st.lists(st.floats(0.1, 2.0), min_size=2, max_size=2))
+    spec = {
+        "n": 2,
+        "hamiltonian": [[c, 0.0, w] for c, term in ham
+                        for w in BLOCK_HAMILTONIAN_TERMS[term]],
+        "jumps": [{"rate": rate,
+                   "op": [[re, im, letter + "I" if site == 0 else "I" + letter]
+                          for re, im, letter in BLOCK_JUMPS[kind]]}
+                  for rate, kind, site in jumps],
     }
     return spec, list(zip(obs_coeffs, obs_words))
 
@@ -153,5 +188,15 @@ def _check_front_door(spec, observable, out):
 @example((EXCEPTIONAL_POINT_SPEC, [(1.0, "ZIZI"), (0.5, "XXII")]))
 def test_front_door_properties(case):
     spec, observable = case
+    with tempfile.TemporaryDirectory() as out:
+        _check_front_door(spec, observable, out)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(block_cases())
+def test_multi_block_front_door_properties(case):
+    spec, observable = case
+    assert len(build_liouvillian(lme_from_json_dict(spec)[0]).blocks) >= 2
     with tempfile.TemporaryDirectory() as out:
         _check_front_door(spec, observable, out)

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,12 +16,11 @@ from lgw.errors import (
 from lgw.lindblad import JumpChannel, LmeSpec, build_ldl
 from lgw.pauli import PauliSum
 from lgw.xl import (
-    EXACT_COLUMN_CAP,
+    INFEASIBLE_TOL,
     LinearizedSystem,
     LiouvillianAnsatz,
     QuadraticSystem,
     _acceptable_roots,
-    _eliminate_exact,
     _extract_univariates,
     _filter_by_all,
     asymptotic_ratio,
@@ -397,6 +397,57 @@ def _root_sets(ech, roles):
         var: _filter_by_all(_acceptable_roots(polys[0], roles[var]), polys[1:])
         for var, polys in by_var.items()
     }
+
+
+EXACT_COLUMN_CAP = 200              # rational elimination stays small
+
+
+def _eliminate_exact(lin: LinearizedSystem) -> LinearizedSystem:
+    """Rational-arithmetic elimination, the oracle ``eliminate`` is
+    tested against; small column spaces only."""
+    cols = len(lin.col_monomials)
+    if cols > EXACT_COLUMN_CAP:
+        raise CapacityError(
+            f"exact elimination is capped at {EXACT_COLUMN_CAP} columns, "
+            f"got {cols}"
+        )
+    rows = [
+        {j: Fraction(v).limit_denominator(10 ** 15) for j, v in row.items()}
+        for row in lin.rows
+    ]
+    rhs = [Fraction(v).limit_denominator(10 ** 15) for v in lin.rhs]
+    pivoted: set[int] = set()
+    for c in range(cols):
+        cand = [i for i in range(len(rows)) if i not in pivoted and rows[i].get(c)]
+        if not cand:
+            continue
+        p = max(cand, key=lambda i: (abs(rows[i][c]), -i))
+        pval = rows[p][c]
+        rows[p] = {j: v / pval for j, v in rows[p].items()}
+        rhs[p] /= pval
+        pivoted.add(p)
+        for i in range(len(rows)):
+            if i == p:
+                continue
+            factor = rows[i].get(c)
+            if not factor:
+                continue
+            for j, v in rows[p].items():
+                new = rows[i].get(j, Fraction(0)) - factor * v
+                if new:
+                    rows[i][j] = new
+                elif j in rows[i]:
+                    del rows[i][j]
+            rhs[i] -= factor * rhs[p]
+    out_rows, out_rhs, inconsistent = [], [], False
+    for row, b in zip(rows, rhs):
+        if not row:
+            if abs(float(b)) > INFEASIBLE_TOL:
+                inconsistent = True
+            continue
+        out_rows.append({j: float(v) for j, v in row.items()})
+        out_rhs.append(float(b))
+    return LinearizedSystem(lin.col_monomials, out_rows, out_rhs, inconsistent)
 
 
 def test_float_elimination_matches_exact_oracle():
