@@ -367,10 +367,13 @@ def _block_null_space(mats, blocks, floor: float) -> np.ndarray:
 
 
 def _hermitian_part(mat: np.ndarray) -> np.ndarray:
-    """(M + M^dag)/2, or (M - M^dag)/2i if that is zero: the null space is
-    closed under M -> M^dag, so it then holds the Hermitian -iM."""
+    """(M + M^dag)/2, or (M - M^dag)/2i if that is zero to the rounding of
+    M: the null space is closed under M -> M^dag, so it then holds the
+    Hermitian -iM."""
     herm = (mat + mat.conj().T) / 2
-    return herm if herm.any() else (mat - mat.conj().T) / 2j
+    if np.abs(herm).max() > mat.size * np.finfo(float).eps * np.abs(mat).max():
+        return herm
+    return (mat - mat.conj().T) / 2j
 
 
 def steady_state(liouv: SuperOp) -> list[DensityMatrix]:

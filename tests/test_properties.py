@@ -29,6 +29,17 @@ ANTI_HERMITIAN_SPEC = {
                "op": [[0.421875, 0.27469169734515164, "IX"]]}],
 }
 
+# a degenerate steady space with a null vector i|11><11| whose Hermitian
+# part is rounding residue of order 1e-285: its norm underflowed to zero
+# and steady_report.json held NaN
+SUBNORMAL_HERMITIAN_PART_SPEC = {
+    "n": 2,
+    "hamiltonian": [[0.7840800859455173, 0.0, "XX"],
+                    [0.7840800859455173, 0.0, "YY"]],
+    "jumps": [{"rate": 0.0, "op": [[0.5, 0.0, "XI"], [0.0, -0.5, "YI"]]},
+              {"rate": 1e-300, "op": [[0.5, 0.0, "XI"], [0.0, 0.5, "YI"]]}],
+}
+
 SPECTRAL_KEYS = {"gap", "steady_dim", "diagonalizable", "mixing_time_estimate",
                  "eigenvalues"}
 REPORT_KEYS = {
@@ -85,14 +96,14 @@ BLOCK_JUMPS = {"+": [(0.5, 0.0, "X"), (0.0, -0.5, "Y")],
 @st.composite
 def block_cases(draw):
     """(spec dict, observable terms) on 2 qubits: 0-3 Hamiltonian terms
-    from {ZZ, XX+YY, Z on one qubit} and 0-4 jumps sigma+, sigma- or Z on
+    from {ZZ, XX+YY, Z on one qubit} and 2-4 jumps sigma+, sigma- or Z on
     one qubit, so the generator conserves the ket-minus-bra magnetization
     and has at least two blocks."""
     ham = draw(st.lists(st.tuples(coefficients, st.sampled_from(
         sorted(BLOCK_HAMILTONIAN_TERMS))), max_size=3))
     jumps = draw(st.lists(st.tuples(st.floats(0.0, 2.0),
                                     st.sampled_from(sorted(BLOCK_JUMPS)),
-                                    st.sampled_from([0, 1])), max_size=4))
+                                    st.sampled_from([0, 1])), min_size=2, max_size=4))
     obs_words = draw(st.lists(words(4), min_size=2, max_size=2, unique=True))
     obs_coeffs = draw(st.lists(st.floats(0.1, 2.0), min_size=2, max_size=2))
     spec = {
@@ -195,6 +206,7 @@ def test_front_door_properties(case):
 @settings(max_examples=100, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(block_cases())
+@example((SUBNORMAL_HERMITIAN_PART_SPEC, [(1.0, "IIII"), (1.0, "IIIX")]))
 def test_multi_block_front_door_properties(case):
     spec, observable = case
     assert len(build_liouvillian(lme_from_json_dict(spec)[0]).blocks) >= 2
