@@ -163,10 +163,7 @@ def cmd_pipeline(args) -> int:
             ),
         )
 
-    hermitian_defect = float(
-        np.abs(liouv.matrix - liouv.matrix.conj().T).max()
-    )
-    if hermitian_defect < HERMITICITY_TOL and report.gap is not None:
+    if liouv.hermiticity_defect() < HERMITICITY_TOL and report.gap is not None:
         bound_kind, bound_value = "hermitian", report.gap
     elif report.mixing_time_estimate is not None:
         bound_kind, bound_value = "mixing", report.mixing_time_estimate

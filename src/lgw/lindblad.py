@@ -80,49 +80,75 @@ class LmeSpec:
 
 @dataclass(frozen=True)
 class SuperOp:
-    """A dense operator on vectorized density matrices (dim 4^n).
+    """An operator on vectorized density matrices (dim 4^n), held as its
+    diagonal blocks.
 
-    ``blocks`` holds the index sets of the connected components of
-    ``matrix != 0``, read as an undirected graph.  The matrix is exactly
-    block-diagonal on them (an XXZ generator with one raising channel per
-    site conserves the ket-minus-bra magnetization and has 2n+1 blocks),
-    so every factorization runs block by block: ``eig`` per block and
-    ``null_basis`` by one SVD per block.  A one-block operator factors
-    ``matrix`` itself.  ``blocks``, ``eig`` and ``null_basis`` are
-    computed on first use and cached, which relies on ``matrix`` not being
-    modified after construction.  Singular values up to ``rounding_floor``,
-    the rounding residue of the generator's terms, count as null.
+    ``blocks`` holds the sorted index sets of the connected components of
+    the operator's nonzero pattern, read as an undirected graph, in order
+    of their smallest index; ``block_matrices`` holds the operator's
+    block on each.  The operator is zero off these blocks (an XXZ
+    generator with one raising channel per site conserves the
+    ket-minus-bra magnetization and has 2n+1 blocks), so every
+    factorization runs block by block: ``eig`` per block and
+    ``null_basis`` by one SVD per block.  ``eig``, ``null_basis`` and the
+    full 4^n x 4^n ``matrix`` are computed on first use and cached, which
+    relies on the blocks not being modified after construction.  Singular
+    values up to ``rounding_floor``, the rounding residue of the
+    generator's terms, count as null.
     """
 
     n: int
-    matrix: np.ndarray
+    blocks: tuple[np.ndarray, ...]
+    block_matrices: tuple[np.ndarray, ...]
     rounding_floor: float = 0.0
 
     def __post_init__(self):
-        dim = 4 ** self.n
-        if self.matrix.shape != (dim, dim):
+        object.__setattr__(self, "blocks", tuple(self.blocks))
+        object.__setattr__(self, "block_matrices", tuple(self.block_matrices))
+        sizes = [(len(idx), len(idx)) for idx in self.blocks]
+        if (sum(len(idx) for idx in self.blocks) != 4 ** self.n
+                or [mat.shape for mat in self.block_matrices] != sizes):
             raise DimensionError(
-                f"superoperator for n={self.n} must be {dim}x{dim}, "
-                f"got {self.matrix.shape}"
+                f"superoperator blocks for n={self.n} must partition "
+                f"{4 ** self.n} indices"
             )
 
-    @cached_property
-    def blocks(self) -> tuple[np.ndarray, ...]:
-        """Sorted index sets of the connected components of ``matrix != 0``,
-        in order of their smallest index."""
-        return _components(self.matrix != 0)
+    @classmethod
+    def from_matrix(cls, n: int, matrix: np.ndarray) -> "SuperOp":
+        """Split a dense 4^n x 4^n operator into its blocks; a one-block
+        operator keeps ``matrix`` itself, not a copy."""
+        dim = 4 ** n
+        if matrix.shape != (dim, dim):
+            raise DimensionError(
+                f"superoperator for n={n} must be {dim}x{dim}, got {matrix.shape}"
+            )
+        blocks = _components(matrix != 0)
+        if len(blocks) == 1:
+            return cls(n, blocks, (matrix,))
+        return cls(n, blocks, tuple(matrix[np.ix_(idx, idx)] for idx in blocks))
 
-    def block_matrices(self) -> list[np.ndarray]:
-        """The diagonal block of ``matrix`` on each index set of ``blocks``;
-        a one-block operator gives ``matrix`` itself, not a copy."""
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The full 4^n x 4^n operator, scattered from the blocks; a
+        one-block operator gives its block itself, not a copy."""
         if len(self.blocks) == 1:
-            return [self.matrix]
-        return [self.matrix[np.ix_(idx, idx)] for idx in self.blocks]
+            return self.block_matrices[0]
+        dim = 4 ** self.n
+        out = np.zeros((dim, dim), dtype=np.result_type(*self.block_matrices))
+        for idx, mat in zip(self.blocks, self.block_matrices):
+            out[np.ix_(idx, idx)] = mat
+        return out
+
+    def hermiticity_defect(self) -> float:
+        """max |M - M^dag| over the blocks, which is that of the full
+        operator: an entry and its transpose partner share a block."""
+        return max(float(np.abs(mat - mat.conj().T).max())
+                   for mat in self.block_matrices)
 
     @cached_property
     def eig(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """Per block: eigenvalues and right eigenvectors, ``np.linalg.eig``."""
-        return tuple(np.linalg.eig(mat) for mat in self.block_matrices())
+        return tuple(np.linalg.eig(mat) for mat in self.block_matrices)
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -132,17 +158,24 @@ class SuperOp:
     @cached_property
     def null_basis(self) -> np.ndarray:
         """Orthonormal right null-space basis (columns), by one SVD per block."""
-        return _block_null_space(self.block_matrices(), self.blocks,
+        return _block_null_space(self.block_matrices, self.blocks,
                                  self.rounding_floor)
 
 
 def _components(mask: np.ndarray) -> tuple[np.ndarray, ...]:
     """Connected components of the undirected graph whose edges are the
-    nonzero entries of the square ``mask``, by label propagation with
-    pointer jumping: each label is a node's root, roots only ever hook to
-    smaller roots, so a component ends labelled by its smallest index."""
-    rows, cols = np.nonzero(mask)
-    labels = np.arange(mask.shape[0])
+    nonzero entries of the square ``mask``."""
+    return _edge_components(*np.nonzero(mask), mask.shape[0])
+
+
+def _edge_components(rows: np.ndarray, cols: np.ndarray,
+                     size: int) -> tuple[np.ndarray, ...]:
+    """Connected components of the undirected graph on ``size`` nodes with
+    edges ``rows[e] -- cols[e]``, each a sorted index array, in order of
+    their smallest index; by label propagation with pointer jumping: each
+    label is a node's root, roots only ever hook to smaller roots, so a
+    component ends labelled by its smallest index."""
+    labels = np.arange(size)
     while True:
         a, b = labels[rows], labels[cols]
         crossing = a != b
@@ -233,32 +266,86 @@ def vec_overlap(a: DmVector, b: DmVector) -> complex:
 
 
 def build_liouvillian(spec: LmeSpec) -> SuperOp:
-    """Dense generator of the master equation on vectorized matrices.
+    """Generator of the master equation on vectorized matrices, by blocks.
 
     L = -i(H(x)I - I(x)H^T) + sum_i rate_i (F(x)F* - (F^dag F)(x)I/2
     - I(x)(F^T F^*)/2); the vectorized identity is always a left null
-    vector (trace preservation).  A generator within rounding of the scale
-    of its terms (H = 0, every F proportional to I) is the zero generator.
+    vector (trace preservation).  The blocks are first the components of
+    the union of the terms' patterns, each gathered entry by entry in the
+    order of the expression above, then split along the components of its
+    own nonzero pattern, which cancellation between terms can make finer;
+    so the blocks and their entries are those of the dense sum, and the
+    4^n x 4^n matrix is never formed.  A generator within rounding of the
+    scale of its terms (H = 0, every F proportional to I) is the zero
+    generator.
     """
     check_dense(2 * spec.n)
     dim = 2 ** spec.n
-    eye = np.eye(dim, dtype=complex)
     h = to_matrix(spec.hamiltonian)
-    lmat = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
     scale = np.abs(h).max()
+    terms = []
     for ch in spec.jumps:
         f = to_matrix(ch.op)
         fdf = f.conj().T @ f
-        lmat += ch.rate * (
-            np.kron(f, f.conj())
-            - 0.5 * np.kron(fdf, eye)
-            - 0.5 * np.kron(eye, fdf.T)
-        )
+        terms.append((ch.rate, f, fdf))
         scale += ch.rate * np.abs(fdf).max()
     floor = dim * dim * np.finfo(float).eps * scale
-    if np.sqrt(np.vdot(lmat, lmat).real) <= floor:
-        lmat[:] = 0.0
-    return SuperOp(spec.n, lmat, floor)
+    coarse = _edge_components(*_term_edges(h, terms), dim * dim)
+    mats = [_gather_block(idx, h, terms) for idx in coarse]
+    if np.sqrt(sum(np.vdot(mat, mat).real for mat in mats)) <= floor:
+        for mat in mats:
+            mat[:] = 0.0
+    pieces = []
+    for idx, mat in zip(coarse, mats):
+        parts = _components(mat != 0)
+        if len(parts) == 1:
+            pieces.append((idx, mat))
+        else:
+            pieces.extend((idx[part], mat[np.ix_(part, part)]) for part in parts)
+    pieces.sort(key=lambda piece: piece[0][0])
+    return SuperOp(spec.n, [idx for idx, _ in pieces], [mat for _, mat in pieces],
+                   floor)
+
+
+def _term_edges(h: np.ndarray, terms) -> tuple[np.ndarray, np.ndarray]:
+    """Edges (row, column) on the vec indices i * 2^n + k that cover the
+    nonzero entries of every term of the generator: those of the one-sided
+    terms H(x)I, I(x)H^T, (F^dag F)(x)I and I(x)(F^dag F)^T, read off the
+    union of the 2^n x 2^n patterns of H and each F^dag F, and those of
+    each F(x)F*, read off the pattern of F."""
+    dim = len(h)
+    other = np.arange(dim)
+    side = h != 0
+    for _, _, fdf in terms:
+        side |= fdf != 0
+    i, j = np.nonzero(side)
+    rows = [(i[:, None] * dim + other).ravel(), (other[:, None] * dim + i).ravel()]
+    cols = [(j[:, None] * dim + other).ravel(), (other[:, None] * dim + j).ravel()]
+    for _, f, _ in terms:
+        a, b = np.nonzero(f)
+        rows.append((a[:, None] * dim + a).ravel())
+        cols.append((b[:, None] * dim + b).ravel())
+    return np.concatenate(rows), np.concatenate(cols)
+
+
+def _gather_block(idx: np.ndarray, h: np.ndarray, terms) -> np.ndarray:
+    """The generator's block on the vec indices ``idx``, each entry
+    computed by the same operations, in the same order, as the entry of
+    the Kronecker-product sum in ``build_liouvillian``'s docstring."""
+    # entry (a, b) sits at row (ket[a], bra[a]) and column (ket[b], bra[b])
+    ket, bra = np.divmod(idx, len(h))
+    ket_row, ket_col = np.ix_(ket, ket)
+    bra_row, bra_col = np.ix_(bra, bra)
+    same_ket = ket_row == ket_col
+    same_bra = bra_row == bra_col
+    mat = -1j * (h[ket_row, ket_col] * same_bra - same_ket * h.T[bra_row, bra_col])
+    for rate, f, fdf in terms:
+        mat += rate * (
+            f[ket_row, ket_col] * f.conj()[bra_row, bra_col]
+            - 0.5 * (fdf[ket_row, ket_col] * same_bra)
+            - 0.5 * (same_ket * fdf.T[bra_row, bra_col])
+        )
+    return mat
 
 
 def pauli_liouvillian(n: int, hamiltonian: PauliSum, jumps) -> PauliSum:
@@ -324,18 +411,7 @@ def build_ldl(spec: LmeSpec) -> tuple[SuperOp, PauliSum]:
         raise WorkbenchError(
             f"squared generator violates exchange-conjugation pairing by {defect:.3e}"
         )
-    return SuperOp(spec.n, dense), sym
-
-
-def exchange_matrix(n: int) -> np.ndarray:
-    """Permutation S with S vec(M) = vec(M^T); swaps the row and column
-    registers qubit by qubit, and S^2 = I."""
-    dim = 2 ** n
-    s = np.zeros((dim * dim, dim * dim))
-    for i in range(dim):
-        for j in range(dim):
-            s[i * dim + j, j * dim + i] = 1.0
-    return s
+    return SuperOp.from_matrix(spec.n, dense), sym
 
 
 # -- steady states -------------------------------------------------------
@@ -451,7 +527,7 @@ def evolve(liouv: SuperOp, rho0: DensityMatrix, t: float, steps: int) -> Density
         raise DimensionError("state and generator qubit counts differ")
     v0 = rho0.matrix.reshape(-1)
     v = np.zeros(v0.shape, dtype=complex)
-    for idx, mat in zip(liouv.blocks, liouv.block_matrices()):
+    for idx, mat in zip(liouv.blocks, liouv.block_matrices):
         if np.any(v0[idx]):
             v[idx] = evolve_vector(mat, v0[idx], t, steps)
     dim = 2 ** liouv.n
@@ -554,21 +630,29 @@ def _mixing_time_estimate(
     if diagonalizable:
         factors = [(vals, vecs, np.linalg.inv(vecs)) for vals, vecs in liouv.eig]
 
-        def propagate_block(k, vec, t):
-            vals, vecs, inv = factors[k]
-            return vecs @ (np.exp(vals * t) * (inv @ vec))
+        def propagator(vec):
+            # the eigen-coefficients of a probe are taken once, not per time
+            parts = [(idx, vals, vecs, inv @ vec[idx])
+                     for idx, (vals, vecs, inv) in zip(liouv.blocks, factors)]
+
+            def at(t):
+                out = np.empty(vec.shape, dtype=complex)
+                for idx, vals, vecs, coeffs in parts:
+                    out[idx] = vecs @ (np.exp(vals * t) * coeffs)
+                return out
+
+            return at
 
     else:
-        mats = liouv.block_matrices()
 
-        def propagate_block(k, vec, t):
-            return _expm(mats[k] * t) @ vec
+        def propagator(vec):
+            def at(t):
+                out = np.empty(vec.shape, dtype=complex)
+                for idx, mat in zip(liouv.blocks, liouv.block_matrices):
+                    out[idx] = _expm(mat * t) @ vec[idx]
+                return out
 
-    def propagate(vec, t):
-        out = np.empty(vec.shape, dtype=complex)
-        for k, idx in enumerate(liouv.blocks):
-            out[idx] = propagate_block(k, vec[idx], t)
-        return out
+            return at
 
     rng = np.random.default_rng(seed)
 
@@ -589,13 +673,13 @@ def _mixing_time_estimate(
             )
         else:
             delta = random_pure(liouv.n) - random_pure(liouv.n)
-        v0 = delta.reshape(-1)
+        propagate = propagator(delta.reshape(-1))
         target = trace_norm(delta) / 2.0
 
         def distance(t):
             # a growing mode overflows to inf/nan, which no SVD takes
             with np.errstate(over="ignore", invalid="ignore"):
-                vec = propagate(v0, t)
+                vec = propagate(t)
             if not np.isfinite(vec).all():
                 return np.inf
             return trace_norm(vec.reshape(dim, dim))
@@ -685,7 +769,7 @@ def verify_ldl_properties(ldl: SuperOp, liouvillian: SuperOp) -> LdlPropertyRepo
     dimension and the steady-space dimension of the generator."""
     mat = (ldl.matrix + ldl.matrix.conj().T) / 2
     evals = np.sort(np.concatenate([
-        np.linalg.eigvalsh((blk + blk.conj().T) / 2) for blk in ldl.block_matrices()
+        np.linalg.eigvalsh((blk + blk.conj().T) / 2) for blk in ldl.block_matrices
     ]))
     # the steady count's sigma <= NULL_SPACE_RTOL * sigma_max of L reads
     # lambda <= NULL_SPACE_RTOL**2 * lambda_max here (lambda = sigma**2),

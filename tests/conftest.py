@@ -1,8 +1,10 @@
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from lgw.errors import DimensionError
 from lgw.lindblad import DensityMatrix, JumpChannel, LmeSpec, build_liouvillian
-from lgw.pauli import PauliString, PauliSum, pauli_decompose
+from lgw.pauli import PauliString, PauliSum, pauli_decompose, to_matrix
 
 LETTERS = "IXYZ"
 
@@ -48,6 +50,60 @@ def trace_with_two_copies(q, rho):
             continue
         total += coeff * t1 * t2
     return total
+
+
+def dense_liouvillian(spec):
+    """Oracle for ``build_liouvillian``: the full 4^n x 4^n generator from
+    Kronecker products, with the same expression, term order and zeroing
+    of a generator within rounding of the scale of its terms."""
+    dim = 2 ** spec.n
+    eye = np.eye(dim, dtype=complex)
+    h = to_matrix(spec.hamiltonian)
+    lmat = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    scale = np.abs(h).max()
+    for ch in spec.jumps:
+        f = to_matrix(ch.op)
+        fdf = f.conj().T @ f
+        lmat += ch.rate * (
+            np.kron(f, f.conj())
+            - 0.5 * np.kron(fdf, eye)
+            - 0.5 * np.kron(eye, fdf.T)
+        )
+        scale += ch.rate * np.abs(fdf).max()
+    if np.sqrt(np.vdot(lmat, lmat).real) <= dim * dim * np.finfo(float).eps * scale:
+        lmat[:] = 0.0
+    return lmat
+
+
+def assert_matches_dense(spec):
+    """Assert that ``build_liouvillian(spec)`` equals the dense oracle
+    exactly: its blocks are the connected components of the oracle's
+    nonzero pattern (by scipy's graph search), in order of their smallest
+    index, and its block entries, its ``matrix`` view and its Hermiticity
+    defect are the oracle's.  Returns the generator."""
+    dense = dense_liouvillian(spec)
+    count, labels = connected_components(csr_matrix(dense != 0), directed=False)
+    want = sorted((np.flatnonzero(labels == c) for c in range(count)),
+                  key=lambda idx: idx[0])
+    liouv = build_liouvillian(spec)
+    assert len(liouv.blocks) == count
+    for idx, got, mat in zip(want, liouv.blocks, liouv.block_matrices):
+        assert np.array_equal(got, idx)
+        assert np.array_equal(mat, dense[np.ix_(idx, idx)])
+    assert np.array_equal(liouv.matrix, dense)
+    assert liouv.hermiticity_defect() == np.abs(dense - dense.conj().T).max()
+    return liouv
+
+
+def exchange_matrix(n):
+    """Permutation S with S vec(M) = vec(M^T); swaps the row and column
+    registers qubit by qubit, and S^2 = I."""
+    dim = 2 ** n
+    s = np.zeros((dim * dim, dim * dim))
+    for i in range(dim):
+        for j in range(dim):
+            s[i * dim + j, j * dim + i] = 1.0
+    return s
 
 
 def rand_hermitian_sum(n, rng, terms=4):

@@ -5,7 +5,13 @@ import time
 
 import numpy as np
 
-from conftest import rand_rho, rand_word, random_unitary, sigma_minus_spec
+from conftest import (
+    exchange_matrix,
+    rand_rho,
+    rand_word,
+    random_unitary,
+    sigma_minus_spec,
+)
 from lgw import cli
 from lgw.encodings import CircuitSpec, feynman_steady_state, p1_from_steady
 from lgw.lindblad import (
@@ -16,7 +22,6 @@ from lgw.lindblad import (
     build_ldl,
     build_liouvillian,
     evolve,
-    exchange_matrix,
     runtime_bound,
     spectral_diagnostics,
     steady_state,

@@ -8,7 +8,10 @@ from scipy.optimize import linear_sum_assignment
 
 from conftest import (
     EXCEPTIONAL_POINT_SPEC,
+    IDENTITY_JUMP_SPEC,
     RANK_FLOOR_SPEC,
+    assert_matches_dense,
+    exchange_matrix,
     rand_lme_spec,
     rand_pure_rho,
     rand_rho,
@@ -18,6 +21,7 @@ from conftest import (
 )
 from lgw.errors import (
     CapacityError,
+    DimensionError,
     NormalizationError,
     ValidationError,
 )
@@ -35,7 +39,6 @@ from lgw.lindblad import (
     evolve,
     evolve_vector,
     exchange_conjugate,
-    exchange_matrix,
     exchange_symmetry_defect,
     integration_steps,
     lme_from_json_dict,
@@ -317,7 +320,7 @@ def test_generator_is_factored_once(monkeypatch):
         inner = getattr(np.linalg, name)
 
         def wrapper(a, *args, **kwargs):
-            if a is liouv.matrix:
+            if any(a is mat for mat in liouv.block_matrices):
                 calls[name] += 1
             return inner(a, *args, **kwargs)
 
@@ -330,19 +333,68 @@ def test_generator_is_factored_once(monkeypatch):
     report = verify_ldl_properties(ldl, liouv)
     assert integration_steps(liouv, 1.0) >= 200
     assert report.steady_dim == 1
-    assert calls == {"eig": 1, "eigvals": 0, "svd": 1}
+    blocks = len(liouv.blocks)
+    assert calls == {"eig": blocks, "eigvals": 0, "svd": blocks}
+    # none of these reads the full matrix, so it was never scattered
+    assert "matrix" not in vars(liouv)
 
 
-def xxz_liouvillian(sites, seed):
-    """Generator of a random XXZ chain with one raising channel per site;
-    it conserves the ket-minus-bra magnetization, so it has 2*sites + 1
-    blocks."""
+def xxz_spec(sites, seed):
+    """A random XXZ chain with one raising channel per site; its generator
+    conserves the ket-minus-bra magnetization, so it has 2*sites + 1
+    blocks.  One site is a Z field with a raising channel."""
     rng = np.random.default_rng(seed)
+    if sites == 1:
+        raising = PauliSum.from_letter_terms([(0.5, "X"), (-0.5j, "Y")])
+        ham = PauliSum.from_letter_terms([(rng.uniform(0.0, 1.0), "Z")])
+        return LmeSpec(1, ham, (JumpChannel(rng.uniform(0.2, 1.0), raising),))
     ansatz = LiouvillianAnsatz.xxz_chain(sites)
     ham, jumps = ansatz.instantiate(rng.uniform(0.0, 1.0, ansatz.num_h),
                                     rng.uniform(0.2, 1.0, ansatz.num_jumps))
-    spec = LmeSpec(sites, ham, tuple(JumpChannel(r, op) for r, op in jumps))
-    return build_liouvillian(spec)
+    return LmeSpec(sites, ham, tuple(JumpChannel(r, op) for r, op in jumps))
+
+
+def xxz_liouvillian(sites, seed):
+    return build_liouvillian(xxz_spec(sites, seed))
+
+
+@pytest.mark.parametrize("sites", [1, 2, 3, 4, 5])
+def test_xxz_blocks_equal_the_dense_oracle(sites):
+    liouv = assert_matches_dense(xxz_spec(sites, 90 + sites))
+    assert len(liouv.blocks) == 2 * sites + 1
+
+
+def test_random_spec_blocks_equal_the_dense_oracle():
+    rng = np.random.default_rng(91)
+    for n in (1, 2, 3):
+        for _ in range(8):
+            assert_matches_dense(rand_lme_spec(n, rng, jumps=int(rng.integers(0, 4))))
+    for spec in (IDENTITY_JUMP_SPEC, RANK_FLOOR_SPEC, EXCEPTIONAL_POINT_SPEC):
+        assert_matches_dense(lme_from_json_dict(spec)[0])
+    assert_matches_dense(LmeSpec(2, PauliSum.zero(2), ()))
+
+
+def test_cancelling_terms_split_a_pattern_block():
+    # each of the jumps X and Y links |0><1| and |1><0| through F(x)F*,
+    # with entries +1 and -1 that cancel at equal rates, so the summed
+    # generator splits the block that the terms' patterns join
+    jumps = tuple(JumpChannel(0.7, PauliSum.from_letter_terms([(1.0, p)]))
+                  for p in "XY")
+    spec = LmeSpec(1, PauliSum.from_letter_terms([(0.4, "Z")]), jumps)
+    liouv = assert_matches_dense(spec)
+    assert [idx.tolist() for idx in liouv.blocks] == [[0, 3], [1], [2]]
+
+
+def test_superop_blocks_must_partition_the_indices():
+    mats = [np.zeros((2, 2), complex), np.zeros((2, 2), complex)]
+    superop = SuperOp(1, [np.array([0, 3]), np.array([1, 2])], mats)
+    assert np.array_equal(superop.matrix, np.zeros((4, 4)))
+    with pytest.raises(DimensionError):
+        SuperOp(1, [np.array([0, 3])], mats[:1])
+    with pytest.raises(DimensionError):
+        SuperOp(1, [np.array([0, 3]), np.array([1, 2])], [mats[0], np.zeros((1, 1))])
+    with pytest.raises(DimensionError):
+        SuperOp.from_matrix(1, np.zeros((2, 2)))
 
 
 @pytest.mark.parametrize("sites", [3, 4])
@@ -411,7 +463,7 @@ def test_pure_dephasing_has_singleton_blocks():
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_zero_generator_null_basis_is_identity(n):
-    liouv = SuperOp(n, np.zeros((4 ** n, 4 ** n), dtype=complex))
+    liouv = SuperOp.from_matrix(n, np.zeros((4 ** n, 4 ** n), dtype=complex))
     assert len(liouv.blocks) == 4 ** n
     assert np.array_equal(liouv.null_basis, np.eye(4 ** n))
 
@@ -419,7 +471,7 @@ def test_zero_generator_null_basis_is_identity(n):
 def test_null_space_rank_rule_uses_global_sigma_max():
     # each diagonal entry is its own block; 1e-12 is a null direction
     # against the largest singular value of all blocks, not its own
-    liouv = SuperOp(1, np.diag([1.0, 1e-12, 2.0, 0.0]).astype(complex))
+    liouv = SuperOp.from_matrix(1, np.diag([1.0, 1e-12, 2.0, 0.0]).astype(complex))
     assert len(liouv.blocks) == 4
     want = np.eye(4)[:, [1, 3]]
     assert np.abs(np.abs(liouv.null_basis) - want).max() < 1e-15
@@ -444,18 +496,17 @@ def test_null_space_rank_rule_floored_at_rounding_of_the_terms():
 
 def test_blocks_are_factored_once_each(monkeypatch):
     liouv = xxz_liouvillian(3, 12)
-    blocks = [liouv.matrix[np.ix_(idx, idx)] for idx in liouv.blocks]
     calls = {"eig": [], "svd": []}
 
     def counting(name):
         inner = getattr(np.linalg, name)
 
         def wrapper(a, *args, **kwargs):
-            assert a is not liouv.matrix and a.shape != liouv.matrix.shape
+            assert a.shape != (4 ** 3, 4 ** 3)
             # the null-space SVD; singular values alone are taken of the
             # eigenvectors (cond) and of density matrices (trace norm)
             if name == "eig" or kwargs.get("compute_uv", True):
-                assert any(np.array_equal(blk, a) for blk in blocks)
+                assert any(blk is a for blk in liouv.block_matrices)
                 calls[name].append(len(a))
             return inner(a, *args, **kwargs)
 
@@ -469,6 +520,7 @@ def test_blocks_are_factored_once_each(monkeypatch):
     evolve(liouv, DensityMatrix.maximally_mixed(3), 1.0, steps)
     sizes = sorted(len(idx) for idx in liouv.blocks)
     assert sorted(calls["eig"]) == sizes and sorted(calls["svd"]) == sizes
+    assert "matrix" not in vars(liouv)
 
 
 def test_spectral_report_json_keys():
@@ -495,13 +547,13 @@ def test_spectral_report_sorts_eigenvalues():
 
 def test_mixing_estimate_none_when_distance_overflows():
     # the 0.5 mode grows, so the propagated difference overflows to inf
-    liouv = SuperOp(1, np.diag([0.0, -1.0, -1.0, 0.5]).astype(complex))
+    liouv = SuperOp.from_matrix(1, np.diag([0.0, -1.0, -1.0, 0.5]).astype(complex))
     assert _mixing_time_estimate(liouv, 1.0, True, 2, 0) is None
 
 
 def test_mixing_estimate_none_when_matrix_exponential_overflows():
     # the same growing mode on the route of non-diagonalizable generators
-    liouv = SuperOp(1, np.diag([0.0, -1.0, -1.0, 0.5]).astype(complex))
+    liouv = SuperOp.from_matrix(1, np.diag([0.0, -1.0, -1.0, 0.5]).astype(complex))
     assert _mixing_time_estimate(liouv, 1.0, False, 2, 0) is None
 
 
@@ -543,7 +595,7 @@ def expm_gap(a):
 def test_expm_matches_scipy_on_xxz_blocks():
     liouv = xxz_liouvillian(4, 5)
     assert len(liouv.blocks) == 9
-    for mat in liouv.block_matrices():
+    for mat in liouv.block_matrices:
         for t in (0.01, 0.3, 3.0, 30.0, 300.0):
             assert expm_gap(mat * t) < 1e-11
 
