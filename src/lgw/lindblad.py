@@ -67,6 +67,8 @@ class LmeSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "jumps", tuple(self.jumps))
+        if self.n < 0:
+            raise ValidationError("qubit count must be non-negative")
         if self.hamiltonian.n != self.n:
             raise DimensionError("Hamiltonian qubit count differs from spec")
         if not self.hamiltonian.is_hermitian():
@@ -83,17 +85,18 @@ class SuperOp:
     """An operator on vectorized density matrices (dim 4^n), held as its
     diagonal blocks.
 
-    ``blocks`` holds the sorted index sets of the connected components of
-    the operator's nonzero pattern, read as an undirected graph, in order
-    of their smallest index; ``block_matrices`` holds the operator's
-    block on each.  The operator is zero off these blocks (an XXZ
-    generator with one raising channel per site conserves the
-    ket-minus-bra magnetization and has 2n+1 blocks), so every
-    factorization runs block by block: ``eig`` per block and
-    ``null_basis`` by one SVD per block.  ``eig``, ``null_basis`` and the
-    full 4^n x 4^n ``matrix`` are computed on first use and cached, which
-    relies on the blocks not being modified after construction.  Singular
-    values up to ``rounding_floor``, the rounding residue of the
+    ``blocks`` is a partition of the indices into sorted index sets, in
+    order of their smallest index, on which the operator is
+    block-diagonal; ``block_matrices`` holds the operator's block on each.
+    For a generator the blocks are the connected components of its nonzero
+    pattern, read as an undirected graph (an XXZ generator with one
+    raising channel per site conserves the ket-minus-bra magnetization and
+    has 2n+1 blocks); for its square L^dag L they are the generator's
+    blocks.  Every factorization runs block by block: ``eig`` per block
+    and ``null_basis`` by one SVD per block.  ``eig``, ``null_basis`` and
+    the full 4^n x 4^n ``matrix`` are computed on first use and cached,
+    which relies on the blocks not being modified after construction.
+    Singular values up to ``rounding_floor``, the rounding residue of the
     generator's terms, count as null.
     """
 
@@ -112,20 +115,6 @@ class SuperOp:
                 f"superoperator blocks for n={self.n} must partition "
                 f"{4 ** self.n} indices"
             )
-
-    @classmethod
-    def from_matrix(cls, n: int, matrix: np.ndarray) -> "SuperOp":
-        """Split a dense 4^n x 4^n operator into its blocks; a one-block
-        operator keeps ``matrix`` itself, not a copy."""
-        dim = 4 ** n
-        if matrix.shape != (dim, dim):
-            raise DimensionError(
-                f"superoperator for n={n} must be {dim}x{dim}, got {matrix.shape}"
-            )
-        blocks = _components(matrix != 0)
-        if len(blocks) == 1:
-            return cls(n, blocks, (matrix,))
-        return cls(n, blocks, tuple(matrix[np.ix_(idx, idx)] for idx in blocks))
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -160,12 +149,6 @@ class SuperOp:
         """Orthonormal right null-space basis (columns), by one SVD per block."""
         return _block_null_space(self.block_matrices, self.blocks,
                                  self.rounding_floor)
-
-
-def _components(mask: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Connected components of the undirected graph whose edges are the
-    nonzero entries of the square ``mask``."""
-    return _edge_components(*np.nonzero(mask), mask.shape[0])
 
 
 def _edge_components(rows: np.ndarray, cols: np.ndarray,
@@ -228,11 +211,6 @@ class DensityMatrix:
             raise DimensionError("state vector length is not a power of two")
         return cls(n, np.outer(state, state.conj()))
 
-    @classmethod
-    def maximally_mixed(cls, n: int) -> "DensityMatrix":
-        dim = 2 ** n
-        return cls(n, np.eye(dim, dtype=complex) / dim)
-
     def purity(self) -> float:
         return float(np.trace(self.matrix @ self.matrix).real)
 
@@ -255,11 +233,6 @@ def vectorize(rho: DensityMatrix) -> DmVector:
     if norm < ZERO_FLOOR:
         raise NormalizationError("cannot vectorize the zero matrix")
     return DmVector(rho.n, vec / norm)
-
-
-def vec_overlap(a: DmVector, b: DmVector) -> complex:
-    """<a|b> on normalized vectorizations, i.e. Tr(rho_a^dag rho_b)/(Ca*Cb)."""
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
 
 
 # -- generator construction ---------------------------------------------
@@ -297,7 +270,7 @@ def build_liouvillian(spec: LmeSpec) -> SuperOp:
             mat[:] = 0.0
     pieces = []
     for idx, mat in zip(coarse, mats):
-        parts = _components(mat != 0)
+        parts = _edge_components(*np.nonzero(mat), len(mat))
         if len(parts) == 1:
             pieces.append((idx, mat))
         else:
@@ -387,21 +360,24 @@ def exchange_symmetry_defect(doubled: PauliSum) -> float:
 
 
 def build_ldl(spec: LmeSpec) -> tuple[SuperOp, PauliSum]:
-    """Dense and Pauli-sum forms of the squared generator.
+    """Block and Pauli-sum forms of the squared generator.
 
-    The Pauli form is L_P^dag L_P with L_P from ``pauli_liouvillian``;
-    it is cross-checked entry by entry against the dense product L^dag L
-    built by Kronecker products (an entrywise bound also bounds every
-    Pauli coefficient, |Tr(P D)|/2^n <= max|D_ij|), and disagreement
-    beyond ``LDL_FORMS_TOL`` means a construction bug and raises.
+    L is block-diagonal, so L^dag L is too, on the same blocks: each block
+    is B^dag B for the generator's block B, and the 4^n x 4^n product is
+    never formed.  The Pauli form is L_P^dag L_P with L_P from
+    ``pauli_liouvillian``; it is cross-checked entry by entry against the
+    scattered blocks (an entrywise bound also bounds every Pauli
+    coefficient, |Tr(P D)|/2^n <= max|D_ij|), and disagreement beyond
+    ``LDL_FORMS_TOL`` means a construction bug and raises.
     """
     liouv = build_liouvillian(spec)
-    dense = liouv.matrix.conj().T @ liouv.matrix
+    ldl = SuperOp(spec.n, liouv.blocks,
+                  [mat.conj().T @ mat for mat in liouv.block_matrices])
     lp = pauli_liouvillian(
         spec.n, spec.hamiltonian, [(ch.rate, ch.op) for ch in spec.jumps]
     )
     sym = lp.dagger() @ lp
-    gap = float(np.abs(to_matrix(sym) - dense).max())
+    gap = float(np.abs(to_matrix(sym) - ldl.matrix).max())
     if gap > LDL_FORMS_TOL:
         raise WorkbenchError(
             f"Pauli-sum and dense squared generators disagree by {gap:.3e}"
@@ -411,7 +387,7 @@ def build_ldl(spec: LmeSpec) -> tuple[SuperOp, PauliSum]:
         raise WorkbenchError(
             f"squared generator violates exchange-conjugation pairing by {defect:.3e}"
         )
-    return SuperOp.from_matrix(spec.n, dense), sym
+    return ldl, sym
 
 
 # -- steady states -------------------------------------------------------
@@ -805,8 +781,6 @@ def _sum_to_triples(s: PauliSum) -> list:
 
 def _sum_from_triples(triples, n: int) -> PauliSum:
     entries = [(complex(re, im), letters) for re, im, letters in triples]
-    if not all(np.isfinite(c) for c, _ in entries):
-        raise ValidationError("Pauli coefficients must be finite")
     if not entries:
         return PauliSum.zero(n)
     return PauliSum.from_letter_terms(entries)

@@ -11,6 +11,8 @@ Conventions fixed once for the whole package:
 
 from __future__ import annotations
 
+import cmath
+
 import numpy as np
 
 from .errors import CapacityError, DimensionError, ValidationError
@@ -203,6 +205,10 @@ class PauliSum:
             if word.n != n:
                 raise DimensionError("mixed word lengths in term list")
             terms[word] = terms.get(word, 0.0) + complex(coeff)
+        # summed before pruning, so duplicate words that overflow and NaN
+        # entries (NaN stays NaN in a sum) are both caught here
+        if not all(map(cmath.isfinite, terms.values())):
+            raise ValidationError("Pauli coefficients must be finite")
         return cls(n, terms)
 
     # -- bookkeeping ---------------------------------------------------

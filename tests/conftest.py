@@ -3,7 +3,16 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from lgw.errors import DimensionError
-from lgw.lindblad import DensityMatrix, JumpChannel, LmeSpec, build_liouvillian
+from lgw.lindblad import (
+    DensityMatrix,
+    JumpChannel,
+    LmeSpec,
+    SuperOp,
+    _edge_components,
+    build_ldl,
+    build_liouvillian,
+    verify_ldl_properties,
+)
 from lgw.pauli import PauliString, PauliSum, pauli_decompose, to_matrix
 
 LETTERS = "IXYZ"
@@ -20,6 +29,16 @@ def rand_pure_rho(n, rng):
     dim = 2 ** n
     vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return DensityMatrix.pure(vec)
+
+
+def maximally_mixed(n):
+    dim = 2 ** n
+    return DensityMatrix(n, np.eye(dim, dtype=complex) / dim)
+
+
+def vec_overlap(a, b):
+    """<a|b> on normalized vectorizations, i.e. Tr(rho_a^dag rho_b)/(Ca*Cb)."""
+    return complex(np.vdot(a.amplitudes, b.amplitudes))
 
 
 def rand_word(n, rng):
@@ -93,6 +112,30 @@ def assert_matches_dense(spec):
     assert np.array_equal(liouv.matrix, dense)
     assert liouv.hermiticity_defect() == np.abs(dense - dense.conj().T).max()
     return liouv
+
+
+def assert_ldl_matches_dense(spec):
+    """Assert that ``build_ldl(spec)`` squares the generator on its own
+    blocks: it keeps the generator's blocks, its scattered matrix is
+    D^dag D for the dense oracle D within 1e-12 relative, and
+    ``verify_ldl_properties`` reads the same ground dimension and the same
+    PASS/FAIL as on D^dag D split along the components of its own
+    pattern, which cancellation can make finer."""
+    liouv = build_liouvillian(spec)
+    ldl, _ = build_ldl(spec)
+    assert len(ldl.blocks) == len(liouv.blocks)
+    assert all(np.array_equal(a, b) for a, b in zip(ldl.blocks, liouv.blocks))
+    dense = dense_liouvillian(spec)
+    product = dense.conj().T @ dense
+    assert np.abs(ldl.matrix - product).max() <= 1e-12 * np.abs(product).max()
+    finer = _edge_components(*np.nonzero(product), len(product))
+    split = SuperOp(spec.n, finer, [product[np.ix_(idx, idx)] for idx in finer])
+    got, want = verify_ldl_properties(ldl, liouv), verify_ldl_properties(split, liouv)
+    assert got.ground_dim == want.ground_dim
+    for flag in ("spectrum_nonnegative", "ground_energy_zero", "st_symmetric",
+                 "ground_matches_steady"):
+        assert getattr(got, flag) == getattr(want, flag), flag
+    return ldl, split
 
 
 def exchange_matrix(n):

@@ -7,10 +7,12 @@ import numpy as np
 
 from conftest import (
     exchange_matrix,
+    maximally_mixed,
     rand_rho,
     rand_word,
     random_unitary,
     sigma_minus_spec,
+    vec_overlap,
 )
 from lgw import cli
 from lgw.encodings import CircuitSpec, feynman_steady_state, p1_from_steady
@@ -25,7 +27,6 @@ from lgw.lindblad import (
     runtime_bound,
     spectral_diagnostics,
     steady_state,
-    vec_overlap,
     vectorize,
 )
 from lgw.measure import (
@@ -176,7 +177,7 @@ def _calibration_case_sigma_minus():
 
 
 def _calibration_case_mixed():
-    rho = DensityMatrix.maximally_mixed(1)
+    rho = maximally_mixed(1)
     obs = PauliSum.from_letter_terms([(1.0, "ZZ")])
     return "maximally mixed", obs, rho, rho.purity()
 

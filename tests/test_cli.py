@@ -153,6 +153,7 @@ def test_verify_rejects_negative_rate(tmp_path):
     ("verify", "rate", float("inf")),
     ("steady", "hamiltonian", float("-inf")),
     ("pipeline", "target", float("nan")),
+    ("verify", "hamiltonian_twice", 1e308),
 ])
 def test_non_finite_inputs_are_validation_errors(
     one_site_files, capsys, command, field, value
@@ -167,6 +168,9 @@ def test_non_finite_inputs_are_validation_errors(
         data = json.loads(path.read_text())
         if field == "rate":
             data["jumps"][0]["rate"] = value
+        elif field == "hamiltonian_twice":
+            # each entry is finite, but the two sum past the float range
+            data["hamiltonian"] = [[value, 0.0, "Z"]] * 2
         else:
             data["hamiltonian"] = [[value, 0.0, "Z"]]
         path.write_text(json.dumps(data))
@@ -195,6 +199,7 @@ def _truncated(path):
     "rate_not_a_number",
     "truncated_spec",
     "n_not_a_number",
+    "n_negative",
     "missing_spec",
     "bad_sizes",
     "ansatz_without_sites",
@@ -210,6 +215,10 @@ def test_malformed_inputs_are_one_line_validation_errors(
         args = ["verify", "--spec", str(_truncated(sigma_minus_spec_file(tmp)))]
     elif case == "n_not_a_number":
         args = ["verify", "--spec", str(_spec_with(tmp, "n", "one"))]
+    elif case == "n_negative":
+        spec = tmp / "negative.json"
+        spec.write_text(json.dumps({"n": -1, "hamiltonian": [], "jumps": []}))
+        args = ["verify", "--spec", str(spec)]
     elif case == "missing_spec":
         args = ["verify", "--spec", str(tmp / "missing.json")]
     elif case == "bad_sizes":

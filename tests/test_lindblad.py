@@ -10,14 +10,17 @@ from conftest import (
     EXCEPTIONAL_POINT_SPEC,
     IDENTITY_JUMP_SPEC,
     RANK_FLOOR_SPEC,
+    assert_ldl_matches_dense,
     assert_matches_dense,
     exchange_matrix,
+    maximally_mixed,
     rand_lme_spec,
     rand_pure_rho,
     rand_rho,
     sigma_minus,
     sigma_minus_spec,
     unique_steady_spec,
+    vec_overlap,
 )
 from lgw.errors import (
     CapacityError,
@@ -47,7 +50,6 @@ from lgw.lindblad import (
     spectral_diagnostics,
     steady_state,
     trace_norm,
-    vec_overlap,
     vectorize,
     verify_ldl_properties,
 )
@@ -64,6 +66,12 @@ def lme_rhs(spec, rho):
         fdf = f.conj().T @ f
         out += ch.rate * (f @ rho @ f.conj().T - 0.5 * (fdf @ rho + rho @ fdf))
     return out
+
+
+def diagonal_superop(n, diag):
+    """The diagonal operator with the entries ``diag``, each its own block."""
+    return SuperOp(n, [np.array([i]) for i in range(4 ** n)],
+                   [np.array([[entry]], dtype=complex) for entry in diag])
 
 
 def test_sigma_minus_spectrum():
@@ -173,7 +181,7 @@ def test_exchange_conjugate_matches_dense_map():
 
 
 def test_vectorize_bell_example():
-    rho = DensityMatrix.maximally_mixed(1)
+    rho = maximally_mixed(1)
     v = vectorize(rho)
     assert np.abs(v.amplitudes - np.array([1, 0, 0, 1]) / np.sqrt(2)).max() < 1e-14
 
@@ -364,6 +372,12 @@ def test_xxz_blocks_equal_the_dense_oracle(sites):
     assert len(liouv.blocks) == 2 * sites + 1
 
 
+@pytest.mark.parametrize("sites", [2, 3])
+def test_xxz_ldl_is_squared_on_the_generator_blocks(sites):
+    ldl, split = assert_ldl_matches_dense(xxz_spec(sites, 80 + sites))
+    assert len(ldl.blocks) == 2 * sites + 1 < len(split.blocks)
+
+
 def test_random_spec_blocks_equal_the_dense_oracle():
     rng = np.random.default_rng(91)
     for n in (1, 2, 3):
@@ -394,7 +408,7 @@ def test_superop_blocks_must_partition_the_indices():
     with pytest.raises(DimensionError):
         SuperOp(1, [np.array([0, 3]), np.array([1, 2])], [mats[0], np.zeros((1, 1))])
     with pytest.raises(DimensionError):
-        SuperOp.from_matrix(1, np.zeros((2, 2)))
+        SuperOp(2, [np.arange(4)], [np.zeros((4, 4), complex)])
 
 
 @pytest.mark.parametrize("sites", [3, 4])
@@ -463,7 +477,7 @@ def test_pure_dephasing_has_singleton_blocks():
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_zero_generator_null_basis_is_identity(n):
-    liouv = SuperOp.from_matrix(n, np.zeros((4 ** n, 4 ** n), dtype=complex))
+    liouv = diagonal_superop(n, np.zeros(4 ** n))
     assert len(liouv.blocks) == 4 ** n
     assert np.array_equal(liouv.null_basis, np.eye(4 ** n))
 
@@ -471,7 +485,7 @@ def test_zero_generator_null_basis_is_identity(n):
 def test_null_space_rank_rule_uses_global_sigma_max():
     # each diagonal entry is its own block; 1e-12 is a null direction
     # against the largest singular value of all blocks, not its own
-    liouv = SuperOp.from_matrix(1, np.diag([1.0, 1e-12, 2.0, 0.0]).astype(complex))
+    liouv = diagonal_superop(1, [1.0, 1e-12, 2.0, 0.0])
     assert len(liouv.blocks) == 4
     want = np.eye(4)[:, [1, 3]]
     assert np.abs(np.abs(liouv.null_basis) - want).max() < 1e-15
@@ -517,7 +531,7 @@ def test_blocks_are_factored_once_each(monkeypatch):
     steady_state(liouv)
     spectral_diagnostics(liouv, mixing_probes=2)
     steps = integration_steps(liouv, 1.0)
-    evolve(liouv, DensityMatrix.maximally_mixed(3), 1.0, steps)
+    evolve(liouv, maximally_mixed(3), 1.0, steps)
     sizes = sorted(len(idx) for idx in liouv.blocks)
     assert sorted(calls["eig"]) == sizes and sorted(calls["svd"]) == sizes
     assert "matrix" not in vars(liouv)
@@ -547,13 +561,13 @@ def test_spectral_report_sorts_eigenvalues():
 
 def test_mixing_estimate_none_when_distance_overflows():
     # the 0.5 mode grows, so the propagated difference overflows to inf
-    liouv = SuperOp.from_matrix(1, np.diag([0.0, -1.0, -1.0, 0.5]).astype(complex))
+    liouv = diagonal_superop(1, [0.0, -1.0, -1.0, 0.5])
     assert _mixing_time_estimate(liouv, 1.0, True, 2, 0) is None
 
 
 def test_mixing_estimate_none_when_matrix_exponential_overflows():
     # the same growing mode on the route of non-diagonalizable generators
-    liouv = SuperOp.from_matrix(1, np.diag([0.0, -1.0, -1.0, 0.5]).astype(complex))
+    liouv = diagonal_superop(1, [0.0, -1.0, -1.0, 0.5])
     assert _mixing_time_estimate(liouv, 1.0, False, 2, 0) is None
 
 

@@ -4,7 +4,13 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import rand_rho, rand_word, sigma_minus_spec, trace_with_two_copies
+from conftest import (
+    maximally_mixed,
+    rand_rho,
+    rand_word,
+    sigma_minus_spec,
+    trace_with_two_copies,
+)
 from lgw import measure
 from lgw.errors import (
     DegenerateObservableError,
@@ -238,20 +244,20 @@ def test_eq5_identity_random_two_term():
 
 
 def test_exact_expectation_bell_stabilizer():
-    rho = DensityMatrix.maximally_mixed(1)
+    rho = maximally_mixed(1)
     a = PauliSum.from_letter_terms([(1.0, "ZZ")])
     assert abs(exact_expectation(a, rho) - 1.0) < 1e-12
 
 
 def test_exact_expectation_rejects_non_hermitian():
-    rho = DensityMatrix.maximally_mixed(1)
+    rho = maximally_mixed(1)
     with pytest.raises(ValidationError):
         exact_expectation(PauliSum.from_letter_terms([(1j, "ZZ")]), rho)
 
 
 def test_plan_and_exact_read_share_one_hermiticity_rule():
     # imaginary parts up to 1e-12 count as real in both; above, both refuse
-    rho = DensityMatrix.maximally_mixed(1)
+    rho = maximally_mixed(1)
     accepted = PauliSum.from_letter_terms([(1 + 1e-12j, "ZI"), (0.5, "XX")])
     plan = MeasurementPlan.build(accepted, 10, 10, seed=0)
     assert plan.weights == (0.5, 1.0)       # canonical order: XX, ZI
@@ -300,7 +306,7 @@ def test_hadamard_sample_five_sigma():
 
 
 def test_hadamard_rejects_non_unitary():
-    rho = DensityMatrix.maximally_mixed(1)
+    rho = maximally_mixed(1)
     with pytest.raises(ValidationError):
         hadamard_sample(word_sum("II", 0.5), rho, 10, seed=0)
 
@@ -356,7 +362,7 @@ def test_sampled_estimate_builds_no_substitute(monkeypatch):
 def test_swap_sample_values():
     pure = DensityMatrix.pure(np.array([1.0, 0.0]))
     assert swap_sample(pure, 1000, seed=0) == 1.0
-    mixed = DensityMatrix.maximally_mixed(1)
+    mixed = maximally_mixed(1)
     shots = 100_000
     est = swap_sample(mixed, shots, seed=1)
     sigma = np.sqrt(0.75 / shots)  # var of +-1 with mean 1/2
@@ -402,7 +408,7 @@ def test_estimate_deterministic():
 
 
 def test_estimate_ill_conditioned_ratio():
-    rho = DensityMatrix.maximally_mixed(3)  # purity 1/8
+    rho = maximally_mixed(3)  # purity 1/8
     a = PauliSum.identity(6)
     hit = None
     for seed in range(400):
@@ -426,7 +432,7 @@ def test_shot_allocation_remainders_favor_large_weights():
 
 def test_estimator_calibration_bias_and_variance():
     # maximally mixed single qubit, observable ZZ: truth is exactly 1
-    rho = DensityMatrix.maximally_mixed(1)
+    rho = maximally_mixed(1)
     a = PauliSum.from_letter_terms([(1.0, "ZZ")])
     n_h = n_s = 400
     truth = exact_expectation(a, rho)
@@ -488,7 +494,7 @@ def test_one_word_norm_is_coefficient_modulus(monkeypatch):
 
 
 def test_bell_amplitude_examples():
-    rho = DensityMatrix.maximally_mixed(1)
+    rho = maximally_mixed(1)
     assert abs(bell_amplitude(rho, PauliString.from_letters("I")) - 1.0) < 1e-12
     assert abs(bell_amplitude(rho, PauliString.from_letters("Z"))) < 1e-12
 

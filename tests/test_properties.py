@@ -19,6 +19,7 @@ from conftest import (
     EXCEPTIONAL_POINT_SPEC,
     IDENTITY_JUMP_SPEC,
     RANK_FLOOR_SPEC,
+    assert_ldl_matches_dense,
     assert_matches_dense,
 )
 from lgw import cli
@@ -214,6 +215,8 @@ def test_front_door_properties(case):
 @example((SUBNORMAL_HERMITIAN_PART_SPEC, [(1.0, "IIII"), (1.0, "IIIX")]))
 def test_multi_block_front_door_properties(case):
     spec, observable = case
-    assert len(assert_matches_dense(lme_from_json_dict(spec)[0]).blocks) >= 2
+    parsed = lme_from_json_dict(spec)[0]
+    assert len(assert_matches_dense(parsed).blocks) >= 2
+    assert_ldl_matches_dense(parsed)
     with tempfile.TemporaryDirectory() as out:
         _check_front_door(spec, observable, out)
