@@ -223,6 +223,10 @@ def _parse_sizes(text: str) -> list[int]:
 
 def cmd_xl_bench(args) -> int:
     sizes = _parse_sizes(args.sizes)
+    if args.d_max < 2:
+        raise ValidationError(f"--d-max must be at least 2, got {args.d_max}")
+    if args.reps < 0:
+        raise ValidationError(f"--reps must be non-negative, got {args.reps}")
     rows = []
     for n_sites in sizes:
         for rep in range(args.reps):
@@ -262,9 +266,11 @@ def cmd_xl_bench(args) -> int:
         walls = [r[4] for r in rows if r[0] == n_sites]
         resids = [r[5] for r in rows if r[0] == n_sites]
         if walls:
+            # fmax skips failed (NaN) reps, and gives NaN, without a
+            # warning, when every rep failed
             summary.append(
-                f"{n_sites},{len(walls)},{np.mean(walls)!r},"
-                f"{np.std(walls)!r},{np.nanmax(resids)!r}"
+                f"{n_sites},{len(walls)},{float(np.mean(walls))!r},"
+                f"{float(np.std(walls))!r},{float(np.fmax.reduce(resids))!r}"
             )
     atomic_write(
         os.path.join(args.out, "xl_bench_summary.csv"), "\n".join(summary) + "\n"
@@ -407,6 +413,17 @@ def cmd_encode_circuit(args) -> int:
 # -- argument plumbing -----------------------------------------------------------
 
 
+def _seed(text: str) -> int:
+    """A --seed value; numpy seeds with non-negative integers only."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise ValidationError(f"--seed must be a non-negative integer, got {text!r}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lgw",
@@ -420,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, shots=True):
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
         p.add_argument("--out", default=".", help="output directory")
         if shots:
             p.add_argument("--shots", type=int, default=None,
@@ -474,8 +491,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.fn(args)
     except StageError as err:
         print(f"error{err}", file=sys.stderr)

@@ -110,7 +110,9 @@ class SuperOp:
         object.__setattr__(self, "block_matrices", tuple(self.block_matrices))
         sizes = [(len(idx), len(idx)) for idx in self.blocks]
         if (sum(len(idx) for idx in self.blocks) != 4 ** self.n
-                or [mat.shape for mat in self.block_matrices] != sizes):
+                or [mat.shape for mat in self.block_matrices] != sizes
+                or not np.array_equal(np.sort(np.concatenate(self.blocks)),
+                                      np.arange(4 ** self.n))):
             raise DimensionError(
                 f"superoperator blocks for n={self.n} must partition "
                 f"{4 ** self.n} indices"
@@ -341,22 +343,29 @@ def pauli_liouvillian(n: int, hamiltonian: PauliSum, jumps) -> PauliSum:
     return total
 
 
-def exchange_conjugate(doubled: PauliSum) -> PauliSum:
-    """Image of a doubled-register sum under simultaneous row/column
-    exchange and complex conjugation (the matrix map M -> S M^* S)."""
-    if doubled.n % 2:
-        raise DimensionError("doubled-register sum must have even qubit count")
-    terms = {}
-    for word, coeff in doubled.conj():
-        row, col = word.halves()
-        terms[col.tensor(row)] = coeff
-    return PauliSum(doubled.n, terms)
-
-
 def exchange_symmetry_defect(doubled: PauliSum) -> float:
     """Max coefficient violation of M = S M^* S (zero for any squared
-    generator); this is the Pauli-basis form of the g_ij pairing rule."""
-    return doubled.max_coeff_diff(exchange_conjugate(doubled))
+    generator); this is the Pauli-basis form of the g_ij pairing rule.
+
+    S M^* S puts sign * conj(c) on the word with its row and column
+    halves swapped, where sign is the word's transposition sign, which
+    the swap keeps.  A word whose swapped partner is absent is compared
+    with zero, which also covers the partner's own comparison.
+    """
+    if doubled.n % 2:
+        raise DimensionError("doubled-register sum must have even qubit count")
+    half = doubled.n // 2
+    low = (1 << half) - 1
+    coeffs = {(w.x, w.z): c for w, c in doubled}
+    defect = 0.0
+    for (x, z), c in coeffs.items():
+        partner = coeffs.get(
+            ((x >> half) | ((x & low) << half), (z >> half) | ((z & low) << half)),
+            0.0,
+        )
+        sign = -1 if (x & z).bit_count() & 1 else 1
+        defect = max(defect, abs(c - partner.conjugate() * sign))
+    return defect
 
 
 def build_ldl(spec: LmeSpec) -> tuple[SuperOp, PauliSum]:

@@ -403,6 +403,119 @@ def pauli_decompose(m: np.ndarray) -> PauliSum:
     )
 
 
+# -- letter keys and batched products ----------------------------------
+
+_KEY_QUBITS = 32                          # qubits per 64-bit key limb
+_LOW_BITS = np.uint64(0x5555555555555555)
+
+
+def letter_keys(sums, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The terms of n-qubit ``sums``, in order, as key rows and
+    coefficients.
+
+    A key holds qubit q in bits 63 - 2r and 62 - 2r of limb q // 32, with
+    r = q % 32: its z bit over its x ^ z bit, so that I, X, Y, Z read 0 to
+    3 and keys sort as the letters do.  Both bits are xors of mask bits,
+    so the key of a product word is the xor of its factors' keys.  Any
+    width takes as many limbs as it needs.
+    """
+    words = [w for s in sums for w in s.terms]
+    m = len(words)
+    coeffs = np.fromiter((c for s in sums for c in s.terms.values()),
+                         dtype=complex, count=m)
+    keys = np.zeros((m, -(-n // _KEY_QUBITS)), dtype=np.uint64)
+    for base in range(0, n, 64):
+        x = np.fromiter(((w.x >> base) & 0xFFFFFFFFFFFFFFFF for w in words),
+                        dtype=np.uint64, count=m)
+        z = np.fromiter(((w.z >> base) & 0xFFFFFFFFFFFFFFFF for w in words),
+                        dtype=np.uint64, count=m)
+        for q in range(base, min(n, base + 64)):
+            zq = (z >> (q - base)) & 1
+            xq = (x >> (q - base)) & 1
+            shift = 62 - 2 * (q % _KEY_QUBITS)
+            keys[:, q // _KEY_QUBITS] |= ((zq << 1) | (xq ^ zq)) << shift
+    return keys, coeffs
+
+
+def key_letters(key: np.ndarray, n: int) -> str:
+    """The letters of one key row."""
+    return "".join(
+        "IXYZ"[(int(key[q // _KEY_QUBITS]) >> (62 - 2 * (q % _KEY_QUBITS))) & 3]
+        for q in range(n)
+    )
+
+
+def _popcount(bits: np.ndarray) -> np.ndarray:
+    return np.bitwise_count(bits).astype(np.int64).sum(axis=1)
+
+
+def _y_count(keys: np.ndarray) -> np.ndarray:
+    """Y letters (key bits 10) per key row."""
+    return _popcount((keys >> 1) & ~keys & _LOW_BITS)
+
+
+def dagger_products(sums, left: np.ndarray, right: np.ndarray, n: int):
+    """Every word product of sums[left[d]]^dag @ sums[right[d]], for each d.
+
+    Returns, one entry per word product and unsummed, d, the product
+    word's key and the real and imaginary parts of its coefficient.
+    Within one d the dagger word is major, as ``PauliSum.__matmul__``
+    takes them, and conj(ca) * cb * i^e rounds as Python's complex
+    product does: conj(ca) * cb is written out in real arithmetic, and
+    the phase is exact.  The products are gathered ragged, one row each.
+    """
+    keys, coeffs = letter_keys(sums, n)
+    sizes = np.array([len(s) for s in sums], dtype=np.int64)
+    offsets = np.cumsum(sizes) - sizes
+    counts = sizes[left] * sizes[right]
+    product = np.repeat(np.arange(len(counts)), counts)
+    # each row's place within its product, split into the dagger word and
+    # the other word
+    a, b = np.divmod(
+        np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts),
+        sizes[right][product],
+    )
+    a += offsets[left][product]
+    b += offsets[right][product]
+    word = keys[a] ^ keys[b]
+    # PauliString.mul's exponent; the z bits of a key are the high bits
+    # of its letters, the x bits high ^ low
+    y = _y_count(keys)
+    overlap = _popcount((keys[a] >> 1) & (keys[b] ^ (keys[b] >> 1)) & _LOW_BITS)
+    expo = (y[a] + y[b] + 2 * overlap - _y_count(word)) & 3
+    cr, ci = coeffs.real, coeffs.imag
+    re = cr[a] * cr[b] + ci[a] * ci[b]
+    im = cr[a] * ci[b] - ci[a] * cr[b]
+    # times i^expo: each factor i swaps the parts and negates the new real
+    re, im = (np.choose(expo, (re, -im, -re, im)),
+              np.choose(expo, (im, re, -im, -re)))
+    return product, word, re, im
+
+
+def word_ids(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each key row's rank among the distinct rows, which are returned in
+    ascending (letter) order."""
+    order = np.lexsort(keys.T[::-1])
+    ranked = keys[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    ids = np.empty(len(order), dtype=np.int64)
+    ids[order] = np.cumsum(new) - 1
+    return ids, ranked[new]
+
+
+def pruned_sums(major, minor, n_minor: int, re, im):
+    """(re, im) summed over equal (major, minor) keys, each in input order
+    as a PauliSum sums a word's terms, with sums below ``COEFF_PRUNE_TOL``
+    in modulus dropped; ascending by key."""
+    keys, inverse = np.unique(major * n_minor + minor, return_inverse=True)
+    re = np.bincount(inverse, re, len(keys))
+    im = np.bincount(inverse, im, len(keys))
+    kept = np.hypot(re, im) >= COEFF_PRUNE_TOL
+    keys = keys[kept]
+    return keys // n_minor, keys % n_minor, re[kept], im[kept]
+
+
 # -- text format -------------------------------------------------------
 #
 # One term per line: "<re> <im> <letters>"; '#' starts a comment.

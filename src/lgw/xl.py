@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -30,7 +31,15 @@ from .errors import (
     WorkbenchError,
 )
 from .lindblad import exchange_symmetry_defect, pauli_liouvillian
-from .pauli import PauliString, PauliSum
+from .pauli import (
+    PauliString,
+    PauliSum,
+    dagger_products,
+    key_letters,
+    letter_keys,
+    pruned_sums,
+    word_ids,
+)
 from .tolerances import (
     COEFF_PRUNE_TOL,
     EXCHANGE_PAIRING_TOL,
@@ -314,8 +323,6 @@ def build_mq_system(
     parts = [pauli_liouvillian(ansatz.n, op, []) for op in ansatz.hamiltonian_ops]
     zero = PauliSum.zero(ansatz.n)
     parts += [pauli_liouvillian(ansatz.n, zero, [(1.0, op)]) for op in ansatz.jump_ops]
-    daggers = [p.dagger() for p in parts]
-    polys: dict[PauliString, dict[Monomial, complex]] = {}
     # Hamiltonian pairs, then mixed, then jump pairs: the order in which
     # monomials enter an equation fixes the float summation order of
     # ``QuadraticSystem.residuals`` and ``_substitute``
@@ -323,32 +330,52 @@ def build_mq_system(
         itertools.combinations_with_replacement(range(len(parts)), 2),
         key=lambda jk: (jk[0] >= nh) + (jk[1] >= nh),
     )
-    for j, k in pairs:
-        product = daggers[j] @ parts[k]
-        if j != k:
-            product = product + daggers[k] @ parts[j]
-        for word, coeff in product:
-            polys.setdefault(word, {})[(j, k)] = coeff
+    # directed products: L_j^dag L_k for every pair, then L_k^dag L_j for
+    # j < k; ``owner`` is the pair each one adds into
+    mixed = [p for p, (j, k) in enumerate(pairs) if j != k]
+    owner = np.array([*range(len(pairs)), *mixed], dtype=np.int64)
+    left, right = np.array([*pairs, *(pairs[p][::-1] for p in mixed)],
+                           dtype=np.int64).reshape(-1, 2).T
+    directed, keys, re, im = dagger_products(parts, left, right, target.n)
+    target_keys, target_coeffs = letter_keys([target], target.n)
+    word, word_keys = word_ids(np.concatenate([keys, target_keys]))
+    tgt = np.zeros(len(word_keys))
+    tgt[word[len(keys):]] = target_coeffs.real
+    # each directed product summed word by word in product order and
+    # pruned, then each pair's two products added, L_j^dag L_k first, and
+    # pruned again, as PauliSum.__matmul__ and __add__ do; the entries come
+    # out ordered by word, then by pair
+    directed, word, re, im = pruned_sums(directed, word[:len(keys)],
+                                         len(word_keys), re, im)
+    word, pair, re, im = pruned_sums(word, owner[directed], len(pairs), re, im)
+    if not include_ground_energy and len(word_keys) and not word_keys[0].any():
+        # the identity word has the all-zero key, so it is word 0
+        kept = word != 0
+        word, pair, re, im = word[kept], pair[kept], re[kept], im[kept]
+        tgt[0] = 0.0
+    bad = np.abs(im) > EXPANSION_IMAG_TOL
+    if bad.any():
+        first = word[bad][0]
+        raise WorkbenchError(
+            f"expansion coefficient of {key_letters(word_keys[first], target.n)} "
+            f"has imaginary part {np.abs(im[word == first]).max():.3e}"
+        )
 
+    # one equation per word with a monomial or a constant left after
+    # pruning, monomials in pair order and the constant last
+    kept = np.abs(re) >= COEFF_PRUNE_TOL
+    word, re = word[kept], re[kept].tolist()
+    monos = [pairs[p] for p in pair[kept].tolist()]
+    const = np.where(np.abs(tgt) >= COEFF_PRUNE_TOL, -tgt, 0.0)
+    rows = np.union1d(word, np.flatnonzero(const))
     equations: list[dict[Monomial, float]] = []
-    words = sorted(set(polys) | set(target.terms), key=lambda w: w.letters)
-    for word in words:
-        if not include_ground_energy and word.is_identity():
-            continue
-        poly = polys.get(word, {})
-        max_imag = max((abs(c.imag) for c in poly.values()), default=0.0)
-        if max_imag > EXPANSION_IMAG_TOL:
-            raise WorkbenchError(
-                f"expansion coefficient of {word.letters} has imaginary "
-                f"part {max_imag:.3e}"
-            )
-        eq = {m: c.real for m, c in poly.items()}
-        tgt = target.terms.get(word, 0.0).real
-        if tgt:
-            eq[()] = -tgt
-        eq = {m: c for m, c in eq.items() if abs(c) >= COEFF_PRUNE_TOL}
-        if eq:
-            equations.append(eq)
+    for lo, hi, c in zip(np.searchsorted(word, rows, "left").tolist(),
+                         np.searchsorted(word, rows, "right").tolist(),
+                         const[rows].tolist()):
+        eq = dict(zip(monos[lo:hi], re[lo:hi]))
+        if c:
+            eq[()] = c
+        equations.append(eq)
     for i in range(nj):
         equations.append({(nh + nj + i, nh + nj + i): 1.0, (nh + i,): -1.0})
 
@@ -385,11 +412,13 @@ class LinearizedSystem:
     def shape(self) -> tuple[int, int]:
         return len(self.rows), len(self.col_monomials)
 
-    def density(self) -> float:
-        rows, cols = self.shape
+    def density(self, copies: list[int]) -> float:
+        """Nonzero share of the matrix in which row i stands ``copies[i]``
+        times."""
+        rows, cols = sum(copies), len(self.col_monomials)
         if rows == 0 or cols == 0:
             return 0.0
-        return sum(len(r) for r in self.rows) / (rows * cols)
+        return sum(c * len(r) for c, r in zip(copies, self.rows)) / (rows * cols)
 
 
 def extend_equations(
@@ -667,12 +696,16 @@ def xl_solve(system: QuadraticSystem, d_max: int = 4) -> XlSolution:
         for i, role in enumerate(roles)
         if role == "w"
     }
+    # repeated equations add nothing to an elimination: the search runs on
+    # the distinct ones, first occurrences in order, and the density
+    # counts each with its multiplicity, as over all n_e equations
+    multiplicity = Counter(tuple(eq.items()) for eq in system.equations)
     first_density = None
     rounds = 0
     nodes = 0
     d_seen = 2
     stack: list[tuple[list[dict[Monomial, float]], dict[int, float]]] = [
-        (system.equations, {})
+        ([dict(items) for items in multiplicity], {})
     ]
     deepest: dict[int, float] = {}
 
@@ -721,7 +754,12 @@ def xl_solve(system: QuadraticSystem, d_max: int = 4) -> XlSolution:
                 if not univariates and not ech.inconsistent:
                     continue
                 if first_density is None:
-                    first_density = lin.density()
+                    # only the root gets here: every deeper node follows a
+                    # round that set the density
+                    per_equation = len(lin.rows) // len(equations)
+                    first_density = lin.density([
+                        m for m in multiplicity.values() for _ in range(per_equation)
+                    ])
                 break
             if ech.inconsistent or not univariates:
                 break

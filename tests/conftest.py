@@ -149,6 +149,20 @@ def exchange_matrix(n):
     return s
 
 
+def exchange_conjugate(doubled):
+    """Image of a doubled-register sum under simultaneous row/column
+    exchange and complex conjugation (the matrix map M -> S M^* S), built
+    term by term as a PauliSum: the oracle of
+    ``lindblad.exchange_symmetry_defect``."""
+    if doubled.n % 2:
+        raise DimensionError("doubled-register sum must have even qubit count")
+    terms = {}
+    for word, coeff in doubled.conj():
+        row, col = word.halves()
+        terms[col.tensor(row)] = coeff
+    return PauliSum(doubled.n, terms)
+
+
 def rand_hermitian_sum(n, rng, terms=4):
     """Random Hermitian Pauli sum with the given number of words."""
     out = {}

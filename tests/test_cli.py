@@ -432,6 +432,7 @@ def test_runtime_needs_numpy_alone(tmp_path):
             ["verify", "--spec", {str(spec)!r}],
             ["measure", "--spec", {str(spec)!r}, "--observable", {str(obs)!r},
              "--shots", "400"],
+            ["xl-bench", "--sizes", "5:6", "--reps", "1"],
         ]
         for argv in runs:
             assert cli.main(argv + ["--out", {str(tmp_path)!r}]) == 0, argv
@@ -595,3 +596,68 @@ def test_xl_bench_rows_independent_of_order(tmp_path):
     # everything except wall time matches
     cols_a, cols_b = row_a.split(","), row_b.split(",")
     assert cols_a[:4] == cols_b[:4] and cols_a[5] == cols_b[5]
+
+
+@pytest.mark.parametrize("command", [
+    "pipeline", "xl-bench", "verify", "steady", "measure", "encode-circuit",
+])
+@pytest.mark.parametrize("seed", ["-1", "abc"])
+def test_seed_that_is_not_a_non_negative_integer_is_one_line_error(
+    one_site_files, capsys, command, seed
+):
+    # numpy's seeding refuses negative integers; the parser refuses them
+    # first, for every subcommand, before any input is read
+    tmp, target, ansatz, obs = one_site_files
+    args = {
+        "pipeline": ["--target", str(target), "--ansatz", str(ansatz),
+                     "--observable", str(obs)],
+        "xl-bench": ["--sizes", "5", "--reps", "1"],
+        "verify": ["--spec", str(sigma_minus_spec_file(tmp))],
+        "steady": ["--spec", str(sigma_minus_spec_file(tmp))],
+        "measure": ["--spec", str(sigma_minus_spec_file(tmp)), "--observable", str(obs)],
+        "encode-circuit": ["--circuit", str(tmp / "missing.json")],
+    }[command]
+    out = tmp / "r"
+    code = cli.main([command, *args, "--seed", seed, "--out", str(out)])
+    assert code == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: --seed must be a non-negative integer, got {seed!r}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--d-max", "1"), ("--reps", "-1")])
+def test_xl_bench_bad_degree_or_reps_is_one_line_error(tmp_path, capsys, flag, value):
+    code = cli.main(["xl-bench", "--sizes", "5", flag, value, "--out", str(tmp_path)])
+    assert code == cli.EXIT_VALIDATION
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {flag}")
+    assert captured.out == "" and not list(tmp_path.iterdir())
+
+
+def test_xl_bench_summary_cells_are_plain_numbers(tmp_path):
+    assert cli.main(
+        ["xl-bench", "--sizes", "5,6", "--reps", "2", "--out", str(tmp_path)]
+    ) == cli.EXIT_OK
+    lines = (tmp_path / "xl_bench_summary.csv").read_text().strip().splitlines()
+    assert lines[0] == "N,reps,mean_wall_time_ms,std_wall_time_ms,max_residual"
+    for line in lines[1:]:
+        cells = [float(cell) for cell in line.split(",")]
+        assert cells[1] == 2 and cells[4] < 1e-6
+
+
+def test_xl_bench_with_every_rep_failed_writes_nan_without_warning(
+    tmp_path, capsys, monkeypatch
+):
+    def unsolvable(system, d_max):
+        raise cli.UnsolvableError("no root")
+
+    monkeypatch.setattr("lgw.xl.xl_solve", unsolvable)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["xl-bench", "--sizes", "5", "--reps", "2",
+                         "--out", str(tmp_path)])
+    assert code == cli.EXIT_OK
+    assert capsys.readouterr().err.count("failed: no root") == 2
+    summary = (tmp_path / "xl_bench_summary.csv").read_text().splitlines()
+    assert summary[1].startswith("5,2,") and summary[1].endswith(",nan")

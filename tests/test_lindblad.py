@@ -12,6 +12,7 @@ from conftest import (
     RANK_FLOOR_SPEC,
     assert_ldl_matches_dense,
     assert_matches_dense,
+    exchange_conjugate,
     exchange_matrix,
     maximally_mixed,
     rand_lme_spec,
@@ -41,7 +42,6 @@ from lgw.lindblad import (
     build_liouvillian,
     evolve,
     evolve_vector,
-    exchange_conjugate,
     exchange_symmetry_defect,
     integration_steps,
     lme_from_json_dict,
@@ -178,6 +178,23 @@ def test_exchange_conjugate_matches_dense_map():
     assert np.abs(lhs - rhs).max() < 1e-12
     symmetrized = (p + exchange_conjugate(p)) * 0.5
     assert exchange_symmetry_defect(symmetrized) < 1e-12
+
+
+def test_exchange_symmetry_defect_matches_conjugate_oracle():
+    # the integer-mask defect equals the max coefficient difference from the
+    # term-by-term conjugate, bit for bit, on sums with and without partners
+    rng = np.random.default_rng(16)
+    from conftest import rand_pauli_sum
+
+    for n, terms in ((2, 3), (4, 6), (6, 40), (34, 30), (70, 12)):
+        p = rand_pauli_sum(n, rng, terms=terms)
+        for s in (p, (p + exchange_conjugate(p)) * 0.5, p.dagger() @ p):
+            assert exchange_symmetry_defect(s) == s.max_coeff_diff(
+                exchange_conjugate(s)
+            )
+    assert exchange_symmetry_defect(PauliSum.zero(4)) == 0.0
+    with pytest.raises(DimensionError):
+        exchange_symmetry_defect(PauliSum.zero(3))
 
 
 def test_vectorize_bell_example():
@@ -409,6 +426,14 @@ def test_superop_blocks_must_partition_the_indices():
         SuperOp(1, [np.array([0, 3]), np.array([1, 2])], [mats[0], np.zeros((1, 1))])
     with pytest.raises(DimensionError):
         SuperOp(2, [np.arange(4)], [np.zeros((4, 4), complex)])
+
+
+def test_superop_blocks_that_overlap_are_refused():
+    # the sizes add up to 4, but index 1 is in both blocks and 3 in none
+    with pytest.raises(DimensionError):
+        SuperOp(1, [np.array([0, 1]), np.array([1, 2])], [np.eye(2), 2 * np.eye(2)])
+    with pytest.raises(DimensionError):
+        SuperOp(1, [np.array([0, 1, 2, 4])], [np.eye(4)])
 
 
 @pytest.mark.parametrize("sites", [3, 4])

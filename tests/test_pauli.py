@@ -9,7 +9,10 @@ from lgw.errors import CapacityError, DimensionError, ValidationError
 from lgw.pauli import (
     PauliString,
     PauliSum,
+    dagger_products,
     format_pauli_sum,
+    key_letters,
+    letter_keys,
     parse_pauli_sum,
     pauli_decompose,
     to_matrix,
@@ -244,6 +247,31 @@ def test_text_format_rejects_bad_letters():
         parse_pauli_sum("1.0 XX")
     with pytest.raises(ValidationError):
         parse_pauli_sum("# only a comment\n")
+
+
+@pytest.mark.parametrize("n", [1, 5, 32, 33, 64, 70])
+def test_letter_keys_sort_as_letters_and_multiply_by_xor(n):
+    # widths on both sides of the 32-qubit key limb and the 64-bit mask
+    rng = np.random.default_rng(300 + n)
+    sums = [rand_pauli_sum(n, rng, terms=4) for _ in range(3)]
+    keys, coeffs = letter_keys(sums, n)
+    words = [w for s in sums for w in s.terms]
+    assert [key_letters(k, n) for k in keys] == [w.letters for w in words]
+    assert coeffs.tolist() == [c for s in sums for c in s.terms.values()]
+    order = np.lexsort(keys.T[::-1])
+    assert [words[i].letters for i in order] == sorted(w.letters for w in words)
+    # one product per word pair, dagger word major, each as PauliString.mul
+    left, right = np.array([0, 2, 1]), np.array([1, 2, 0])
+    product, word, re, im = dagger_products(sums, left, right, n)
+    expect = []
+    for d, (j, k) in enumerate(zip(left, right)):
+        for wa, ca in sums[j].dagger():
+            for wb, cb in sums[k]:
+                phase, w = wa.mul(wb)
+                expect.append((d, w.letters, ca * cb * phase))
+    got = [(d, key_letters(k, n), complex(r, i))
+           for d, k, r, i in zip(product, word, re, im)]
+    assert got == expect
 
 
 def test_dense_cap():

@@ -13,9 +13,11 @@ from lgw.errors import (
     UnsolvableError,
     ValidationError,
 )
-from lgw.lindblad import JumpChannel, LmeSpec, build_ldl
-from lgw.pauli import PauliSum
+from lgw.lindblad import JumpChannel, LmeSpec, build_ldl, pauli_liouvillian
+from lgw.pauli import PauliString, PauliSum
 from lgw.xl import (
+    COEFF_PRUNE_TOL,
+    EXPANSION_IMAG_TOL,
     INFEASIBLE_TOL,
     LinearizedSystem,
     LiouvillianAnsatz,
@@ -192,6 +194,114 @@ def test_build_mq_rejects_asymmetric_target():
         build_mq_system(ansatz, PauliSum.from_letter_terms([(1j, "XY")]))
 
 
+def build_mq_system_by_pairs(ansatz, target, include_ground_energy=True):
+    """The matching equations from one PauliSum product per pair and
+    direction, word by word: the oracle of the batched
+    ``build_mq_system`` (structural checks left out)."""
+    nh, nj = ansatz.num_h, ansatz.num_jumps
+    parts = [pauli_liouvillian(ansatz.n, op, []) for op in ansatz.hamiltonian_ops]
+    zero = PauliSum.zero(ansatz.n)
+    parts += [pauli_liouvillian(ansatz.n, zero, [(1.0, op)]) for op in ansatz.jump_ops]
+    daggers = [p.dagger() for p in parts]
+    polys = {}
+    pairs = sorted(
+        itertools.combinations_with_replacement(range(len(parts)), 2),
+        key=lambda jk: (jk[0] >= nh) + (jk[1] >= nh),
+    )
+    for j, k in pairs:
+        product = daggers[j] @ parts[k]
+        if j != k:
+            product = product + daggers[k] @ parts[j]
+        for word, coeff in product:
+            polys.setdefault(word, {})[(j, k)] = coeff
+
+    equations = []
+    for word in sorted(set(polys) | set(target.terms), key=lambda w: w.letters):
+        if not include_ground_energy and word.is_identity():
+            continue
+        poly = polys.get(word, {})
+        assert max((abs(c.imag) for c in poly.values()), default=0.0) <= EXPANSION_IMAG_TOL
+        eq = {m: c.real for m, c in poly.items()}
+        tgt = target.terms.get(word, 0.0).real
+        if tgt:
+            eq[()] = -tgt
+        eq = {m: c for m, c in eq.items() if abs(c) >= COEFF_PRUNE_TOL}
+        if eq:
+            equations.append(eq)
+    for i in range(nj):
+        equations.append({(nh + nj + i, nh + nj + i): 1.0, (nh + i,): -1.0})
+    return equations
+
+
+def assert_bit_identical_to_oracle(ansatz, target, include_ground_energy=True):
+    """Same equations, same monomials in the same order, same float bits."""
+    system = build_mq_system(ansatz, target, include_ground_energy)
+    oracle = build_mq_system_by_pairs(ansatz, target, include_ground_energy)
+    as_bits = lambda eqs: [[(m, c.hex()) for m, c in eq.items()] for eq in eqs]
+    assert as_bits(system.equations) == as_bits(oracle)
+    return system
+
+
+@pytest.mark.parametrize("sites", range(2, 10))
+def test_batched_pair_products_match_the_pair_loop(sites):
+    rng = np.random.default_rng(400 + sites)
+    ansatz = LiouvillianAnsatz.xxz_chain(sites)
+    h = rng.uniform(0, 1, ansatz.num_h)
+    lam = rng.uniform(0, 1, ansatz.num_jumps)
+    target = ansatz.forward_ldl(h, lam)
+    for include_ground_energy in (True, False):
+        assert_bit_identical_to_oracle(ansatz, target, include_ground_energy)
+
+
+def test_batched_pair_products_full_local_family():
+    # identity parts (empty sums), complex +/- channels and every
+    # cross term between distinct unknowns
+    ansatz = LiouvillianAnsatz.full_local_family(2, 2)
+    rng = np.random.default_rng(401)
+    target = ansatz.forward_ldl(rng.uniform(-1, 1, ansatz.num_h),
+                                rng.uniform(0.2, 1, ansatz.num_jumps))
+    for include_ground_energy in (True, False):
+        assert_bit_identical_to_oracle(ansatz, target, include_ground_energy)
+
+
+def test_batched_pair_products_across_mask_limbs():
+    # 33 sites double to 66 qubits: operators on sites 0, 31 and 32 put
+    # letters on both sides of the 32-qubit key limbs and the 64-bit masks
+    n = 33
+
+    def word(letters):
+        return PauliString.from_letters(
+            "".join(letters.get(q, "I") for q in range(n))
+        )
+
+    ham = (
+        PauliSum.from_term(word({0: "Z", 32: "Z"})),
+        PauliSum(n, {word({31: "X", 32: "X"}): 1.0, word({31: "Y", 32: "Y"}): 1.0}),
+        PauliSum.from_term(word({31: "Y"})),
+    )
+    jumps = (site_channel(n, 0, "+"), site_channel(n, 31, "-"), site_channel(n, 32, "Z"))
+    ansatz = LiouvillianAnsatz(n, ham, jumps, locality=4)
+    rng = np.random.default_rng(402)
+    h = rng.uniform(-1, 1, ansatz.num_h)
+    lam = rng.uniform(0.2, 1, ansatz.num_jumps)
+    target = ansatz.forward_ldl(h, lam)
+    system = assert_bit_identical_to_oracle(ansatz, target)
+    assert_bit_identical_to_oracle(ansatz, target, include_ground_energy=False)
+    truth = np.concatenate([h, lam, np.sqrt(lam)])
+    assert np.abs(system.residuals(truth)).max() < 1e-12
+
+
+def test_build_mq_target_words_outside_the_products():
+    # a target word that no pair product reaches gives a constant-only
+    # equation, in letter order among the others
+    ansatz = one_site_ansatz()
+    target = ansatz.forward_ldl([0.7], [0.3]) + PauliSum.from_letter_terms(
+        [(0.25, "XX"), (0.5, "YY")]
+    )
+    system = assert_bit_identical_to_oracle(ansatz, target)
+    assert {(): -0.25} in system.equations and {(): -0.5} in system.equations
+
+
 def test_build_mq_drop_ground_energy():
     ansatz = one_site_ansatz()
     target = ansatz.forward_ldl([0.7], [0.3])
@@ -333,6 +443,38 @@ def test_xl_solve_branches_on_sign_ambiguity():
     solution = xl_solve(system)
     x, y = solution.assignment["x"], solution.assignment["y"]
     assert abs(x * y + 2.0) < 1e-9 and abs(x ** 2 - 1.0) < 1e-9
+
+
+def test_xl_solve_eliminates_each_distinct_equation_once(monkeypatch):
+    rng = np.random.default_rng(403)
+    ansatz = LiouvillianAnsatz.xxz_chain(6)
+    target = ansatz.forward_ldl(rng.uniform(0, 1, ansatz.num_h),
+                                rng.uniform(0, 1, ansatz.num_jumps))
+    system = build_mq_system(ansatz, target)
+    repeated = QuadraticSystem(system.var_names, system.var_roles,
+                               [dict(eq) for eq in system.equations for _ in range(2)])
+    distinct = len({tuple(eq.items()) for eq in system.equations})
+    assert distinct < system.n_e           # the chain repeats equations
+    seen = []
+    real_linearize = linearize
+
+    def counting_linearize(equations, nv, d):
+        seen.append(len(equations))
+        return real_linearize(equations, nv, d)
+
+    monkeypatch.setattr("lgw.xl.linearize", counting_linearize)
+    solution, again = xl_solve(system), xl_solve(repeated)
+    # the root round sees each distinct equation once, either way
+    assert seen[0] == seen[len(seen) // 2] == distinct
+    assert solution.assignment == again.assignment
+    one, two = solution.report, again.report
+    assert (one.rounds, one.d_used, one.nodes) == (two.rounds, two.d_used, two.nodes)
+    assert (one.n_e, two.n_e) == (system.n_e, 2 * system.n_e)
+    assert one.matrix_density == two.matrix_density
+    # the density counts every equation, repeats included
+    assert one.d_used == 2
+    lin = real_linearize(system.equations, system.n_u, 2)
+    assert one.matrix_density == lin.density([1] * system.n_e)
 
 
 def test_xxz_recovery_small():
