@@ -413,15 +413,20 @@ def cmd_encode_circuit(args) -> int:
 # -- argument plumbing -----------------------------------------------------------
 
 
-def _seed(text: str) -> int:
-    """A --seed value; numpy seeds with non-negative integers only."""
-    try:
-        seed = int(text)
-    except ValueError:
-        seed = -1
-    if seed < 0:
-        raise ValidationError(f"--seed must be a non-negative integer, got {text!r}")
-    return seed
+def _non_negative(flag: str):
+    """The argparse type of ``flag``, a non-negative integer (a seed, which
+    numpy takes only so, or a count); anything else is a one-line
+    validation error."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = -1
+        if value < 0:
+            raise ValidationError(
+                f"{flag} must be a non-negative integer, got {text!r}")
+        return value
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -437,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, shots=True):
-        p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
+        p.add_argument("--seed", type=_non_negative("--seed"), default=DEFAULT_SEED)
         p.add_argument("--out", default=".", help="output directory")
         if shots:
             p.add_argument("--shots", type=int, default=None,
@@ -471,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("steady", help="steady states and spectral report")
     p.add_argument("--spec", required=True)
-    p.add_argument("--probes", type=int, default=4)
+    p.add_argument("--probes", type=_non_negative("--probes"), default=4)
     common(p, shots=False)
     p.set_defaults(fn=cmd_steady)
 

@@ -576,6 +576,8 @@ def spectral_diagnostics(
     """Eigen-spectrum, decay gap, diagonalizability and a probe-based
     mixing-time estimate (a lower bound: the true mixing time quantifies
     over all state pairs, the probes sample a few)."""
+    if seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed}")
     evals = liouv.eigenvalues
     nonzero_re = np.abs(evals.real)[np.abs(evals.real) > DECAY_RATE_FLOOR]
     gap = float(nonzero_re.min()) if nonzero_re.size else None

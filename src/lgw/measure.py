@@ -46,8 +46,12 @@ from .tolerances import (
 # Stream ids keep the counter-based generators independent: Hadamard
 # term i draws from stream i, the Swap test from its own named stream.
 SWAP_TEST_STREAM = 0x53574150
+# Generator.binomial draws at most this many shots at once (int64).
+_MAX_SHOTS = 2 ** 63 - 1
 
 def _rng(seed: int, stream: int) -> np.random.Generator:
+    if seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed}")
     key = np.array([seed & 0xFFFFFFFFFFFFFFFF, stream & 0xFFFFFFFFFFFFFFFF],
                    dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
@@ -249,8 +253,6 @@ class MeasurementPlan:
     @classmethod
     def build(cls, observable: PauliSum, n_h: int, n_s: int, seed: int
               ) -> "MeasurementPlan":
-        if n_h < 1 or n_s < 1:
-            raise ValidationError("shot counts must be at least 1")
         m = len(observable)
         if m < 1:
             raise DegenerateObservableError("observable has no terms")
@@ -258,6 +260,13 @@ class MeasurementPlan:
             raise ValidationError(
                 f"the observable has {m} terms and needs one Hadamard shot "
                 f"per term: at least {m} (--shots {2 * m}), got {n_h}"
+            )
+        if n_s < 1:
+            raise ValidationError("shot counts must be at least 1")
+        if max(n_h, n_s) > _MAX_SHOTS:
+            raise ValidationError(
+                f"shot counts above {_MAX_SHOTS} cannot be sampled, got "
+                f"{max(n_h, n_s)}"
             )
         if not observable.is_hermitian():
             raise ValidationError("observable weights must be real")
@@ -396,7 +405,15 @@ def shot_budget(a: PauliSum, gamma: float, epsilon: float) -> tuple[int, int, in
         raise DegenerateObservableError("observable is zero")
     norm2, frob_sq, m = observable_norms(a)
     weight_sq = frob_sq / (2 ** a.n)
-    raw = 2.0 / (gamma ** 2 * epsilon ** 2) * (norm2 ** 2 + m * weight_sq)
+    try:
+        raw = 2.0 / (gamma ** 2 * epsilon ** 2) * (norm2 ** 2 + m * weight_sq)
+    except ZeroDivisionError:
+        raw = math.inf
+    if not math.isfinite(raw):
+        raise ValidationError(
+            f"gamma {gamma:g} and epsilon {epsilon:g} ask for more shots "
+            f"than a float can count"
+        )
     n = int(math.ceil(raw))
     n += n % 2
     return n, n // 2, n // 2
@@ -406,10 +423,11 @@ def half_shots(
     a: PauliSum, gamma: float, shots: int | None, epsilon: float | None
 ) -> int:
     """Shots for each of the Hadamard and Swap halves: half of ``shots``
-    and at least one, or without ``shots`` the ``shot_budget`` half for
-    accuracy ``epsilon``, raised to one Hadamard shot per observable term."""
+    (``MeasurementPlan.build`` refuses a half below one), or without
+    ``shots`` the ``shot_budget`` half for accuracy ``epsilon``, raised to
+    one Hadamard shot per observable term."""
     if shots is not None:
-        return max(1, shots // 2)
+        return shots // 2
     return max(shot_budget(a, gamma, epsilon)[1], len(a))
 
 

@@ -99,9 +99,6 @@ class PauliString:
         """Sign picked up under transposition (equally, conjugation)."""
         return -1 if self.y_count & 1 else 1
 
-    def is_identity(self) -> bool:
-        return self.x == 0 and self.z == 0
-
     def mul(self, other: "PauliString") -> tuple[complex, "PauliString"]:
         """Product self*other as (phase, word); phase is a fourth root of 1."""
         if self.n != other.n:
@@ -220,7 +217,9 @@ class PauliSum:
         return iter(self.terms.items())
 
     def sorted_terms(self) -> list[tuple[PauliString, complex]]:
-        return sorted(self.terms.items(), key=lambda kv: kv[0].letters)
+        items = list(self.terms.items())
+        keys, _ = letter_keys([self], self.n)
+        return [items[i] for i in _letter_order(keys).tolist()]
 
     def max_weight(self) -> int:
         return max((w.weight for w in self.terms), default=0)
@@ -249,12 +248,41 @@ class PauliSum:
     def __matmul__(self, other: "PauliSum") -> "PauliSum":
         if self.n != other.n:
             raise DimensionError("qubit counts differ in product")
-        terms: dict[PauliString, complex] = {}
-        for wa, ca in self.terms.items():
-            for wb, cb in other.terms.items():
-                phase, word = wa.mul(wb)
-                terms[word] = terms.get(word, 0.0) + ca * cb * phase
-        return PauliSum(self.n, terms)
+        # every word product, self's word major, as one grid; the product
+        # rows are freed once summed
+        keys, coeffs = letter_keys([self, other], self.n)
+        m = len(self)
+        return PauliSum._from_keys(self.n, *_first_sums(*_products(
+            keys, coeffs, coeffs, np.s_[:m, None], np.s_[None, m:])))
+
+    @classmethod
+    def _from_keys(cls, n: int, keys: np.ndarray, re: np.ndarray,
+                   im: np.ndarray) -> "PauliSum":
+        """The sum of distinct n-qubit key rows with coefficients re + i*im,
+        in row order, pruned as ``PauliSum`` prunes."""
+        kept = np.hypot(re, im) >= COEFF_PRUNE_TOL
+        keys = keys[kept]
+        k, chunks = len(keys), max(1, -(-n // 64))
+        # z then x masks as 64-bit chunks, low chunk first, from bit
+        # planes[0 or 1, word, qubit] a block of words at a time
+        masks = np.zeros((2, k, 8 * chunks), np.uint8)
+        for lo in range(0, k, _KEY_BLOCK):
+            block = _key_bits(keys[lo:lo + _KEY_BLOCK], n)
+            planes = np.ascontiguousarray(block.transpose(2, 0, 1))
+            planes[1] ^= planes[0]
+            masks[:, lo:lo + _KEY_BLOCK, :-(-n // 8)] = np.packbits(
+                planes, axis=-1, bitorder="little")
+        z, x = masks.view("<u8")
+        xs, zs = x[:, 0].tolist(), z[:, 0].tolist()
+        for c in range(1, chunks):
+            xs = [v | u << 64 * c for v, u in zip(xs, x[:, c].tolist())]
+            zs = [v | u << 64 * c for v, u in zip(zs, z[:, c].tolist())]
+        coeffs = np.empty(k, dtype=complex)
+        coeffs.real, coeffs.imag = re[kept], im[kept]
+        out = cls.__new__(cls)
+        out.n = n
+        out.terms = dict(zip(map(PauliString, [n] * k, xs, zs), coeffs.tolist()))
+        return out
 
     def _word_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """X masks, Z masks and coefficients of the terms, in term order."""
@@ -303,11 +331,17 @@ class PauliSum:
     def max_coeff_diff(self, other: "PauliSum") -> float:
         if self.n != other.n:
             raise DimensionError("qubit counts differ in comparison")
-        words = set(self.terms) | set(other.terms)
-        return max(
-            (abs(self.terms.get(w, 0.0) - other.terms.get(w, 0.0)) for w in words),
-            default=0.0,
-        )
+        keys, coeffs = letter_keys([self, other], self.n)
+        ids, distinct, _ = word_ids(keys)
+        m = len(self)
+        # each word's coefficient in both sums, 0.0 where a sum lacks it
+        mine = np.zeros(len(distinct), dtype=complex)
+        theirs = np.zeros(len(distinct), dtype=complex)
+        mine[ids[:m]] = coeffs[:m]
+        theirs[ids[m:]] = coeffs[m:]
+        diff = mine - theirs
+        # np.hypot rounds as abs() of a Python complex does; np.abs does not
+        return float(np.hypot(diff.real, diff.imag).max(initial=0.0))
 
     def to_matrix(self) -> np.ndarray:
         return to_matrix(self)
@@ -384,74 +418,111 @@ def pauli_decompose(m: np.ndarray) -> PauliSum:
         t = np.stack(
             [(a + d) / 2, (b + c) / 2, 1j * (b - c) / 2, (a - d) / 2], axis=1
         ).reshape(-1, h, h)
-    coeffs, words = t.ravel(), np.arange(t.size)
-    # drop the words PauliSum would prune before building any of them
-    keep = np.abs(coeffs) >= COEFF_PRUNE_TOL
-    coeffs, words = coeffs[keep], words[keep]
-    # a word's index spells its letters in base 4, qubit 0 most significant;
-    # letters 1, 2 (X, Y) carry an x bit and letters 2, 3 (Y, Z) a z bit
-    shift = np.arange(n).reshape(n, 1)
-    letters = (words >> (2 * (n - 1 - shift))) & 3
-    xs = (((letters == 1) | (letters == 2)) << shift).sum(axis=0)
-    zs = (((letters == 2) | (letters == 3)) << shift).sum(axis=0)
-    return PauliSum(
-        n,
-        {
-            PauliString(n, x, z): coeff
-            for x, z, coeff in zip(xs.tolist(), zs.tolist(), coeffs)
-        },
-    )
+    # a word's index spells its letters in base 4, qubit 0 most
+    # significant, so shifted to the top of a limb it is the word's key
+    # (n <= 32: no matrix is wider)
+    keys = np.arange(t.size, dtype=np.uint64) << np.uint64(64 - 2 * n)
+    coeffs = t.ravel()
+    return PauliSum._from_keys(n, keys[:, None], coeffs.real, coeffs.imag)
 
 
 # -- letter keys and batched products ----------------------------------
+#
+# A key row holds qubit q in bits 63 - 2r and 62 - 2r of limb q // 32,
+# with r = q % 32: its z bit over its x ^ z bit, so that I, X, Y, Z read 0
+# to 3 and key rows sort as the letters do.  Both bits are xors of mask
+# bits, so the key of a product word is the xor of its factors' keys.
+# Keys move to and from the masks as bit planes (one uint8 per bit), so
+# any width costs the same few numpy passes.
 
 _KEY_QUBITS = 32                          # qubits per 64-bit key limb
+# Words per pass between masks and keys: keeps the bit planes (a byte
+# per bit) near 1 MB whatever the term count.
+_KEY_BLOCK = 1 << 12
 _LOW_BITS = np.uint64(0x5555555555555555)
+
+
+def _key_bits(keys: np.ndarray, n: int) -> np.ndarray:
+    """(rows, n, 2) uint8: each qubit's z bit and x ^ z bit."""
+    bits = np.unpackbits(keys.astype(">u8").view(np.uint8), axis=1, count=2 * n)
+    return bits.reshape(len(keys), n, 2)
 
 
 def letter_keys(sums, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The terms of n-qubit ``sums``, in order, as key rows and
-    coefficients.
-
-    A key holds qubit q in bits 63 - 2r and 62 - 2r of limb q // 32, with
-    r = q % 32: its z bit over its x ^ z bit, so that I, X, Y, Z read 0 to
-    3 and keys sort as the letters do.  Both bits are xors of mask bits,
-    so the key of a product word is the xor of its factors' keys.  Any
-    width takes as many limbs as it needs.
-    """
+    coefficients.  Any width takes as many limbs as it needs, and at
+    least one."""
     words = [w for s in sums for w in s.terms]
     m = len(words)
-    coeffs = np.fromiter((c for s in sums for c in s.terms.values()),
-                         dtype=complex, count=m)
-    keys = np.zeros((m, -(-n // _KEY_QUBITS)), dtype=np.uint64)
-    for base in range(0, n, 64):
-        x = np.fromiter(((w.x >> base) & 0xFFFFFFFFFFFFFFFF for w in words),
-                        dtype=np.uint64, count=m)
-        z = np.fromiter(((w.z >> base) & 0xFFFFFFFFFFFFFFFF for w in words),
-                        dtype=np.uint64, count=m)
-        for q in range(base, min(n, base + 64)):
-            zq = (z >> (q - base)) & 1
-            xq = (x >> (q - base)) & 1
-            shift = 62 - 2 * (q % _KEY_QUBITS)
-            keys[:, q // _KEY_QUBITS] |= ((zq << 1) | (xq ^ zq)) << shift
+    coeffs = np.array([c for s in sums for c in s.terms.values()], dtype=complex)
+    limbs = max(1, -(-n // _KEY_QUBITS))
+    size = 8 * -(-limbs // 2)
+    keys = np.empty((m, limbs), dtype=np.uint64)
+    for lo in range(0, m, _KEY_BLOCK):
+        block = words[lo:lo + _KEY_BLOCK]
+        raw = b"".join(w.z.to_bytes(size, "little")
+                       + (w.x ^ w.z).to_bytes(size, "little") for w in block)
+        # bits[word, 0 or 1, qubit]: z, then x ^ z, zero past the last qubit
+        bits = np.unpackbits(
+            np.frombuffer(raw, np.uint8).reshape(len(block), 2, size),
+            axis=2, count=_KEY_QUBITS * limbs, bitorder="little")
+        bits = bits.transpose(0, 2, 1).reshape(len(block), 64 * limbs)
+        keys[lo:lo + len(block)] = np.packbits(bits, axis=1).view(">u8")
     return keys, coeffs
 
 
-def key_letters(key: np.ndarray, n: int) -> str:
-    """The letters of one key row."""
-    return "".join(
-        "IXYZ"[(int(key[q // _KEY_QUBITS]) >> (62 - 2 * (q % _KEY_QUBITS))) & 3]
-        for q in range(n)
-    )
+def key_letters(keys: np.ndarray, n: int) -> list[str]:
+    """The letters of each key row."""
+    bits = _key_bits(keys, n)
+    text = np.frombuffer(b"IXYZ", np.uint8)[2 * bits[..., 0] + bits[..., 1]]
+    text = text.tobytes().decode("ascii")
+    return [text[i * n:(i + 1) * n] for i in range(len(keys))]
 
 
-def _popcount(bits: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(bits).astype(np.int64).sum(axis=1)
+def _letter_order(keys: np.ndarray) -> np.ndarray:
+    """The key rows' indices in ascending (letter) order, stable."""
+    return np.lexsort(keys.T[::-1])
 
 
-def _y_count(keys: np.ndarray) -> np.ndarray:
-    """Y letters (key bits 10) per key row."""
-    return _popcount((keys >> 1) & ~keys & _LOW_BITS)
+def _products(keys, left, right, a, b):
+    """Word products of the key rows keys[a] and keys[b], with
+    coefficients left[a] and right[b]; ``a`` and ``b`` index the term
+    axis and their results broadcast against each other.
+
+    Returns the product words' key rows and coefficients ca * cb * i^e,
+    where i^e is ``PauliString.mul``'s phase.  Each rounds as Python's
+    complex product does: ca * cb is written out in real arithmetic, and
+    the phase is exact.
+    """
+    # per term, on the low bit of each letter: its x ^ z bit, z bit and x
+    # bit (z and x carry other bits above, which anti masks off)
+    low = keys & _LOW_BITS
+    z = keys >> 1
+    x = low ^ z
+    # per qubit, the factors anticommute (phase i or -i), and of those the
+    # ones with phase -i are where x_a & z_b differs from the xor of the
+    # x ^ z bits; two product-sized buffers, freed once counted
+    zb = z[b]
+    anti = low[a] & zb
+    minus = z[a] & low[b]
+    anti ^= minus
+    np.bitwise_and(x[a], zb, out=minus)
+    minus ^= low[a]
+    minus ^= low[b]
+    minus &= anti
+    expo = np.bitwise_count(anti)
+    expo += np.bitwise_count(minus) << 1
+    del zb, anti, minus
+    # (re, im) = ar * (br, bi) + ai * (-bi, br), which rounds as Python's
+    # ca * cb does; signed zeros may differ, and vanish when summed from
+    # +0.0
+    ca, cb = left[a], right[b][..., None]
+    coeff = ca.real[..., None] * cb.view(float)
+    coeff += ca.imag[..., None] * (cb * 1j).view(float)
+    coeff = coeff.view(complex)[..., 0]
+    # summed in uint8, which wraps at 256 and so keeps the count mod 4
+    coeff *= _I4_ARRAY[expo.sum(axis=-1, dtype=np.uint8) & 3]
+    return keys[a] ^ keys[b], coeff
 
 
 def dagger_products(sums, left: np.ndarray, right: np.ndarray, n: int):
@@ -460,9 +531,8 @@ def dagger_products(sums, left: np.ndarray, right: np.ndarray, n: int):
     Returns, one entry per word product and unsummed, d, the product
     word's key and the real and imaginary parts of its coefficient.
     Within one d the dagger word is major, as ``PauliSum.__matmul__``
-    takes them, and conj(ca) * cb * i^e rounds as Python's complex
-    product does: conj(ca) * cb is written out in real arithmetic, and
-    the phase is exact.  The products are gathered ragged, one row each.
+    takes them, and each product rounds as it does there.  The products
+    are gathered ragged, one row each.
     """
     keys, coeffs = letter_keys(sums, n)
     sizes = np.array([len(s) for s in sums], dtype=np.int64)
@@ -477,31 +547,36 @@ def dagger_products(sums, left: np.ndarray, right: np.ndarray, n: int):
     )
     a += offsets[left][product]
     b += offsets[right][product]
-    word = keys[a] ^ keys[b]
-    # PauliString.mul's exponent; the z bits of a key are the high bits
-    # of its letters, the x bits high ^ low
-    y = _y_count(keys)
-    overlap = _popcount((keys[a] >> 1) & (keys[b] ^ (keys[b] >> 1)) & _LOW_BITS)
-    expo = (y[a] + y[b] + 2 * overlap - _y_count(word)) & 3
-    cr, ci = coeffs.real, coeffs.imag
-    re = cr[a] * cr[b] + ci[a] * ci[b]
-    im = cr[a] * ci[b] - ci[a] * cr[b]
-    # times i^expo: each factor i swaps the parts and negates the new real
-    re, im = (np.choose(expo, (re, -im, -re, im)),
-              np.choose(expo, (im, re, -im, -re)))
-    return product, word, re, im
+    word, coeff = _products(keys, coeffs.conj(), coeffs, a, b)
+    return product, word, coeff.real, coeff.imag
 
 
-def word_ids(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each key row's rank among the distinct rows, which are returned in
-    ascending (letter) order."""
-    order = np.lexsort(keys.T[::-1])
+def word_ids(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each key row's rank among the distinct rows, the distinct rows in
+    ascending (letter) order, and the index of each one's first row."""
+    order = _letter_order(keys)
     ranked = keys[order]
-    new = np.ones(len(order), dtype=bool)
+    new = np.empty(len(order), dtype=bool)
+    new[:1] = True
     new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    distinct = ranked[new]
+    del ranked
     ids = np.empty(len(order), dtype=np.int64)
-    ids[order] = np.cumsum(new) - 1
-    return ids, ranked[new]
+    ids[order] = new.cumsum()
+    ids -= 1
+    return ids, distinct, order[new]
+
+
+def _first_sums(word: np.ndarray, coeff: np.ndarray):
+    """The distinct key rows of ``word`` in order of first appearance, and
+    the real and imaginary parts of their summed coefficients, each sum
+    taken in row order from +0.0 (bincount adds in input order), as a
+    PauliSum sums a word's terms."""
+    ids, distinct, first = word_ids(word.reshape(-1, word.shape[-1]))
+    appear = first.argsort()
+    k, coeff = len(distinct), coeff.ravel()
+    return (distinct[appear], np.bincount(ids, coeff.real, k)[appear],
+            np.bincount(ids, coeff.imag, k)[appear])
 
 
 def pruned_sums(major, minor, n_minor: int, re, im):
@@ -522,9 +597,11 @@ def pruned_sums(major, minor, n_minor: int, re, im):
 
 
 def format_pauli_sum(s: PauliSum) -> str:
+    keys, coeffs = letter_keys([s], s.n)
+    order = _letter_order(keys)
     lines = [f"# {s.n} qubits, {len(s)} terms"]
-    for word, coeff in s.sorted_terms():
-        lines.append(f"{coeff.real!r} {coeff.imag!r} {word.letters}")
+    lines += map("{!r} {!r} {}".format, coeffs.real[order].tolist(),
+                 coeffs.imag[order].tolist(), key_letters(keys[order], s.n))
     return "\n".join(lines) + "\n"
 
 

@@ -338,7 +338,7 @@ def build_mq_system(
                            dtype=np.int64).reshape(-1, 2).T
     directed, keys, re, im = dagger_products(parts, left, right, target.n)
     target_keys, target_coeffs = letter_keys([target], target.n)
-    word, word_keys = word_ids(np.concatenate([keys, target_keys]))
+    word, word_keys, _ = word_ids(np.concatenate([keys, target_keys]))
     tgt = np.zeros(len(word_keys))
     tgt[word[len(keys):]] = target_coeffs.real
     # each directed product summed word by word in product order and
@@ -357,7 +357,7 @@ def build_mq_system(
     if bad.any():
         first = word[bad][0]
         raise WorkbenchError(
-            f"expansion coefficient of {key_letters(word_keys[first], target.n)} "
+            f"expansion coefficient of {key_letters(word_keys[[first]], target.n)[0]} "
             f"has imaginary part {np.abs(im[word == first]).max():.3e}"
         )
 

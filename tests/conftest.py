@@ -163,6 +163,34 @@ def exchange_conjugate(doubled):
     return PauliSum(doubled.n, terms)
 
 
+def matmul_by_pairs(a, b):
+    """The product a @ b from one ``PauliString.mul`` per word pair, each
+    word summed in pair order from 0.0: the oracle of the batched
+    ``PauliSum.__matmul__``."""
+    if a.n != b.n:
+        raise DimensionError("qubit counts differ in product")
+    terms = {}
+    for wa, ca in a.terms.items():
+        for wb, cb in b.terms.items():
+            phase, word = wa.mul(wb)
+            terms[word] = terms.get(word, 0.0) + ca * cb * phase
+    return PauliSum(a.n, terms)
+
+
+def sorted_by_letters(s):
+    """The terms of a sum sorted by their letters: the oracle of
+    ``PauliSum.sorted_terms``."""
+    return sorted(s.terms.items(), key=lambda kv: kv[0].letters)
+
+
+def format_by_letters(s):
+    """``format_pauli_sum`` spelled word by word from the letters."""
+    lines = [f"# {s.n} qubits, {len(s)} terms"]
+    for word, coeff in sorted_by_letters(s):
+        lines.append(f"{coeff.real!r} {coeff.imag!r} {word.letters}")
+    return "\n".join(lines) + "\n"
+
+
 def rand_hermitian_sum(n, rng, terms=4):
     """Random Hermitian Pauli sum with the given number of words."""
     out = {}

@@ -238,8 +238,10 @@ def test_malformed_inputs_are_one_line_validation_errors(
     assert len(err) == 1 and err[0].startswith("error")
 
 
-@pytest.mark.parametrize("shots", [0, 1, 3, 4])
-def test_measure_and_pipeline_split_shots_alike(one_site_files, shots):
+@pytest.mark.parametrize("shots", [-5, 0, 1, 3, 4])
+def test_measure_and_pipeline_split_shots_alike(one_site_files, capsys, shots):
+    # half the shots go to each of the Hadamard and Swap halves; below two
+    # a half would be empty, and both commands refuse that alike
     tmp, target, ansatz, obs = one_site_files
     spec = sigma_minus_spec_file(tmp)
     runs = {
@@ -249,10 +251,42 @@ def test_measure_and_pipeline_split_shots_alike(one_site_files, shots):
     }
     for report, args in runs.items():
         out = tmp / report
-        assert cli.main(args + ["--observable", str(obs), "--shots", str(shots),
-                                "--out", str(out)]) == cli.EXIT_OK
+        code = cli.main(args + ["--observable", str(obs), "--shots", str(shots),
+                                "--out", str(out)])
+        if shots < 2:
+            assert code == cli.EXIT_VALIDATION
+            assert capsys.readouterr().err.splitlines() == [
+                "error[measure] the observable has 1 terms and needs one "
+                f"Hadamard shot per term: at least 1 (--shots 2), got {shots // 2}"]
+            assert not (out / report).exists()
+            continue
+        assert code == cli.EXIT_OK
         data = json.loads((out / report).read_text())
-        assert data["estimate"]["shots"] == 2 * max(1, shots // 2)
+        assert data["estimate"]["shots"] == 2 * (shots // 2)
+
+
+@pytest.mark.parametrize("command", ["measure", "pipeline"])
+@pytest.mark.parametrize("flag, value, message", [
+    ("--eps", "1e-10", "shot counts above 9223372036854775807 cannot be sampled"),
+    ("--eps", "1e-300", "gamma 1 and epsilon 1e-300 ask for more shots"),
+    ("--shots", "100000000000000000000",
+     "shot counts above 9223372036854775807 cannot be sampled"),
+])
+def test_shot_count_past_the_sampler_is_one_line_error(
+    one_site_files, capsys, command, flag, value, message
+):
+    # numpy's binomial draws at most 2^63 - 1 shots, and an epsilon whose
+    # square underflows makes no budget at all
+    tmp, target, ansatz, obs = one_site_files
+    if command == "measure":
+        args = ["measure", "--spec", str(sigma_minus_spec_file(tmp))]
+    else:
+        args = ["pipeline", "--target", str(target), "--ansatz", str(ansatz)]
+    code = cli.main(args + ["--observable", str(obs), flag, value,
+                            "--gamma", "1", "--out", str(tmp / "r")])
+    assert code == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error[measure] {message}")
 
 
 @pytest.mark.parametrize("command", ["measure", "pipeline"])
@@ -623,6 +657,17 @@ def test_seed_that_is_not_a_non_negative_integer_is_one_line_error(
     err = capsys.readouterr().err.splitlines()
     assert err == [f"error: --seed must be a non-negative integer, got {seed!r}"]
     assert not out.exists()
+
+
+def test_negative_probes_is_one_line_error(tmp_path, capsys):
+    out = tmp_path / "r"
+    code = cli.main(["steady", "--spec", str(sigma_minus_spec_file(tmp_path)),
+                     "--probes", "-3", "--out", str(out)])
+    assert code == cli.EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "error: --probes must be a non-negative integer, got '-3'"]
+    assert captured.out == "" and not out.exists()
 
 
 @pytest.mark.parametrize("flag, value", [("--d-max", "1"), ("--reps", "-1")])

@@ -781,3 +781,10 @@ def test_build_liouvillian_refuses_past_dense_cap():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 18
+
+
+def test_spectral_diagnostics_refuses_a_negative_seed():
+    liouv = build_liouvillian(sigma_minus_spec())
+    with pytest.raises(ValidationError, match="non-negative"):
+        spectral_diagnostics(liouv, seed=-1)
+    assert spectral_diagnostics(liouv, seed=0).mixing_time_estimate is not None

@@ -510,3 +510,27 @@ def test_bell_amplitude_dual_path():
         v = vectorize(rho)
         expect = np.vdot(bell_vec, v.amplitudes)
         assert abs(got - expect) < 1e-11
+
+
+def test_negative_seed_is_a_validation_error():
+    # a negative seed used to be masked to 64 bits: seed -1 drew exactly
+    # the shots of seed 2^64 - 1
+    rho = steady_state(build_liouvillian(sigma_minus_spec()))[0]
+    a = PauliSum.from_letter_terms([(1.0, "ZZ")])
+    with pytest.raises(ValidationError, match="non-negative"):
+        sampled_estimate(a, rho, 1.0, 100, None, seed=-1)
+    with pytest.raises(ValidationError, match="non-negative"):
+        hadamard_sample(a, rho, 10, seed=-1, stream=0)
+    sampled_estimate(a, rho, 1.0, 100, None, seed=0)
+
+
+def test_shot_budget_past_the_float_range_is_a_validation_error():
+    a = PauliSum.from_letter_terms([(1.0, "ZZ")])
+    for eps in (1e-300, 1e-160):
+        with pytest.raises(ValidationError, match="more shots than a float"):
+            shot_budget(a, 1.0, eps)
+    # finite, but more than numpy's binomial can draw
+    half = half_shots(a, 1.0, None, 1e-10)
+    with pytest.raises(ValidationError, match="cannot be sampled"):
+        MeasurementPlan.build(a, half, half, seed=1)
+    MeasurementPlan.build(a, 2 ** 63 - 1, 2 ** 63 - 1, seed=1)

@@ -4,7 +4,13 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import rand_pauli_sum, rand_word
+from conftest import (
+    format_by_letters,
+    matmul_by_pairs,
+    rand_pauli_sum,
+    rand_word,
+    sorted_by_letters,
+)
 from lgw.errors import CapacityError, DimensionError, ValidationError
 from lgw.pauli import (
     PauliString,
@@ -220,6 +226,106 @@ def test_matmul_against_dense():
         assert np.abs(to_matrix(a @ b) - to_matrix(a) @ to_matrix(b)).max() < 1e-12
 
 
+def as_bits(s):
+    """Words, term order and float bits of a sum."""
+    return [(w.letters, c.real.hex(), c.imag.hex()) for w, c in s.terms.items()]
+
+
+def distinct_words(n, rng, count):
+    words = {}
+    while len(words) < count:
+        words[rand_word(n, rng)] = None
+    return list(words)
+
+
+def product_cases(rng):
+    """Pairs of random sums on 1-8 qubits, with parts that are exactly
+    +-0.0 and with products that cancel exactly or to below the prune
+    tolerance."""
+    cases = []
+    for n in range(1, 9):
+        for _ in range(5):
+            cases.append((rand_pauli_sum(n, rng, int(rng.integers(1, 9))),
+                          rand_pauli_sum(n, rng, int(rng.integers(1, 9)))))
+        zeroed = {}
+        for i, (w, c) in enumerate(rand_pauli_sum(n, rng, 6)):
+            zeroed[w] = [complex(c.real, 0.0), complex(-0.0, c.imag),
+                         complex(c.real, -0.0), c][i % 4]
+        cases.append((PauliSum(n, zeroed), rand_pauli_sum(n, rng, 5)))
+        cases.append((rand_pauli_sum(n, rng, 3), PauliSum(n, zeroed)))
+        # p p and q q are both the identity: 1 - (1 - gap) cancels exactly,
+        # to below the tolerance (2^-50) or to just above it (2^-45)
+        p, q = distinct_words(n, rng, 2)
+        for gap in (0.0, 2.0 ** -50, 2.0 ** -45):
+            cases.append((PauliSum(n, {p: 1.0, q: 1.0}),
+                          PauliSum(n, {p: 1.0, q: -(1.0 - gap)})))
+        cases.append((PauliSum(n, {p: 1e-7j}), PauliSum(n, {q: 1e-8})))
+    return cases
+
+
+def test_matmul_matches_the_pair_loop_bit_for_bit():
+    rng = np.random.default_rng(26)
+    for a, b in product_cases(rng):
+        assert as_bits(a @ b) == as_bits(matmul_by_pairs(a, b))
+        assert as_bits(a.dagger() @ a) == as_bits(matmul_by_pairs(a.dagger(), a))
+
+
+@pytest.mark.parametrize("n", [31, 32, 33, 63, 64, 65, 66])
+def test_matmul_across_key_limbs_and_mask_chunks(n):
+    # 32 qubits to a key limb and 64 to a mask chunk
+    rng = np.random.default_rng(600 + n)
+    top = PauliString.from_letters("I" * (n - 1) + "Y")
+    a = rand_pauli_sum(n, rng, 7) + PauliSum.from_term(top, 0.5 - 2j)
+    b = rand_pauli_sum(n, rng, 6) + PauliSum.from_term(top, -1j)
+    for x, y in [(a, b), (b, a), (a.dagger(), a), (a, a)]:
+        out = x @ y
+        assert as_bits(out) == as_bits(matmul_by_pairs(x, y))
+        assert format_pauli_sum(out) == format_by_letters(out)
+        assert out.sorted_terms() == sorted_by_letters(out)
+
+
+def test_matmul_of_zero_qubit_and_empty_sums():
+    rng = np.random.default_rng(27)
+    scalar = PauliSum(0, {PauliString(0): 2.0 - 1.0j})
+    other = PauliSum(0, {PauliString(0): 0.5j})
+    some = rand_pauli_sum(3, rng, 4)
+    pairs = [(scalar, other), (scalar, PauliSum.zero(0)), (PauliSum.zero(0), other),
+             (PauliSum.zero(3), some), (some, PauliSum.zero(3)),
+             (PauliSum.zero(3), PauliSum.zero(3))]
+    for a, b in pairs:
+        out = a @ b
+        assert out.n == a.n
+        assert as_bits(out) == as_bits(matmul_by_pairs(a, b))
+        assert format_pauli_sum(out) == format_by_letters(out)
+    assert as_bits(scalar @ other) == [("", (0.5).hex(), (1.0).hex())]
+    with pytest.raises(DimensionError):
+        scalar @ some
+
+
+def test_format_and_sorted_terms_follow_the_letters():
+    rng = np.random.default_rng(28)
+    sums = [a @ b for a, b in product_cases(rng)]
+    sums += [rand_pauli_sum(n, rng, 9) for n in (0, 1, 31, 32, 33, 63, 64, 65, 66)]
+    # more terms than one letter_keys pass takes
+    sums += [PauliSum.zero(0), PauliSum.zero(5), rand_pauli_sum(8, rng, 5000)]
+    for s in sums:
+        assert format_pauli_sum(s) == format_by_letters(s)
+        assert s.sorted_terms() == sorted_by_letters(s)
+
+
+def test_max_coeff_diff_matches_the_word_by_word_difference():
+    rng = np.random.default_rng(29)
+    for n in (0, 1, 3, 33, 66):
+        for _ in range(10):
+            a = rand_pauli_sum(n, rng, int(rng.integers(0, 6)))
+            b = rand_pauli_sum(n, rng, int(rng.integers(0, 6))) + a
+            words = set(a.terms) | set(b.terms)
+            expect = max((abs(a.terms.get(w, 0.0) - b.terms.get(w, 0.0))
+                          for w in words), default=0.0)
+            assert a.max_coeff_diff(b) == expect
+            assert a.max_coeff_diff(a) == 0.0
+
+
 def test_involutions_against_dense():
     rng = np.random.default_rng(19)
     s = rand_pauli_sum(2, rng, terms=5)
@@ -256,7 +362,7 @@ def test_letter_keys_sort_as_letters_and_multiply_by_xor(n):
     sums = [rand_pauli_sum(n, rng, terms=4) for _ in range(3)]
     keys, coeffs = letter_keys(sums, n)
     words = [w for s in sums for w in s.terms]
-    assert [key_letters(k, n) for k in keys] == [w.letters for w in words]
+    assert key_letters(keys, n) == [w.letters for w in words]
     assert coeffs.tolist() == [c for s in sums for c in s.terms.values()]
     order = np.lexsort(keys.T[::-1])
     assert [words[i].letters for i in order] == sorted(w.letters for w in words)
@@ -269,8 +375,8 @@ def test_letter_keys_sort_as_letters_and_multiply_by_xor(n):
             for wb, cb in sums[k]:
                 phase, w = wa.mul(wb)
                 expect.append((d, w.letters, ca * cb * phase))
-    got = [(d, key_letters(k, n), complex(r, i))
-           for d, k, r, i in zip(product, word, re, im)]
+    got = [(d, k, complex(r, i))
+           for d, k, r, i in zip(product, key_letters(word, n), re, im)]
     assert got == expect
 
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import matmul_by_pairs
 from lgw.errors import (
     BudgetExceededError,
     CapacityError,
@@ -209,15 +210,15 @@ def build_mq_system_by_pairs(ansatz, target, include_ground_energy=True):
         key=lambda jk: (jk[0] >= nh) + (jk[1] >= nh),
     )
     for j, k in pairs:
-        product = daggers[j] @ parts[k]
+        product = matmul_by_pairs(daggers[j], parts[k])
         if j != k:
-            product = product + daggers[k] @ parts[j]
+            product = product + matmul_by_pairs(daggers[k], parts[j])
         for word, coeff in product:
             polys.setdefault(word, {})[(j, k)] = coeff
 
     equations = []
     for word in sorted(set(polys) | set(target.terms), key=lambda w: w.letters):
-        if not include_ground_energy and word.is_identity():
+        if not include_ground_energy and word.x == 0 and word.z == 0:
             continue
         poly = polys.get(word, {})
         assert max((abs(c.imag) for c in poly.values()), default=0.0) <= EXPANSION_IMAG_TOL
