@@ -281,7 +281,7 @@ def cmd_xl_bench(args) -> int:
 def cmd_verify(args) -> int:
     spec, _ = _stage("load_spec", lindblad.load_lme, args.spec)
     liouv = _stage("build_liouvillian", lindblad.build_liouvillian, spec)
-    ldl, sym = _stage("build_ldl", lindblad.build_ldl, spec)
+    ldl, sym = _stage("build_ldl", lindblad.build_ldl, spec, liouv)
     props = lindblad.verify_ldl_properties(ldl, liouv)
     spectral = lindblad.spectral_diagnostics(liouv, mixing_probes=3, seed=args.seed)
 

@@ -30,6 +30,7 @@ from .tolerances import (
     DIAGONALIZABLE_COND_MAX,
     EVOLVE_TRACE_DRIFT_TOL,
     EXCHANGE_PAIRING_TOL,
+    EXCHANGE_PARTNER_RTOL,
     GROUND_ENERGY_TOL,
     HERMITICITY_TOL,
     LDL_FORMS_TOL,
@@ -37,6 +38,7 @@ from .tolerances import (
     NULL_SPACE_RTOL,
     PAULI_HERMITICITY_TOL,
     PSD_SLACK,
+    REAL_FORM_RTOL,
     REPAIR_MASS_MAX,
     ST_COMMUTATOR_TOL,
     STEADY_TRACE_FLOOR,
@@ -92,12 +94,32 @@ class SuperOp:
     pattern, read as an undirected graph (an XXZ generator with one
     raising channel per site conserves the ket-minus-bra magnetization and
     has 2n+1 blocks); for its square L^dag L they are the generator's
-    blocks.  Every factorization runs block by block: ``eig`` per block
-    and ``null_basis`` by one SVD per block.  ``eig``, ``null_basis`` and
-    the full 4^n x 4^n ``matrix`` are computed on first use and cached,
-    which relies on the blocks not being modified after construction.
-    Singular values up to ``rounding_floor``, the rounding residue of the
-    generator's terms, count as null.
+    blocks.
+
+    Every factorization runs block by block, and the exchange S, which
+    swaps ket and bra, halves it.  A generator preserves Hermiticity, so
+    S L S = conj(L): S maps the block on ``idx`` onto the block on
+    sorted(S idx), whose matrix is conj(B)[p][:, p] with p = argsort(S idx).
+    Of each such pair the first block is factored, and its partner takes
+    the permuted conjugates: eigenvalues conj(lam), eigenvectors
+    conj(V)[p], inverse conj(V^-1)[:, p] and the same singular values.  A
+    block that S maps onto itself is factored in real form: T has e_a for
+    each fixed point of S and (e_a + e_Sa)/sqrt2, i(e_a - e_Sa)/sqrt2 for
+    each swapped pair, R = T^dag B T is real (the Pauli-transfer-matrix
+    form of a Hermiticity-preserving map), and R = W Lam W^-1 gives V = T W
+    and V^-1 = W^-1 T^dag.  A partner further than
+    ``EXCHANGE_PARTNER_RTOL`` from the permuted conjugate, or a self-paired
+    block whose T^dag B T has an imaginary residue above
+    ``REAL_FORM_RTOL`` (both relative to max|B|), is factored on its own,
+    in complex form.
+
+    ``forms``, ``eig``, ``eig_inverses``, ``eigvec_singular_values``,
+    ``singular_values``, ``null_basis`` and the full 4^n x 4^n ``matrix``
+    are computed on first use and cached, which relies on the blocks not
+    being modified after construction.  Null vectors come from a full SVD
+    of only the blocks whose smallest singular value is at or below the
+    cut.  Singular values up to ``rounding_floor``, the rounding residue of
+    the generator's terms, count as null.
     """
 
     n: int
@@ -137,9 +159,60 @@ class SuperOp:
                    for mat in self.block_matrices)
 
     @cached_property
+    def forms(self) -> tuple[tuple[str, tuple], ...]:
+        """Per block, the form it is factored in: ``("complex", ())``,
+        ``("real", (R, fixed, first, second))`` with R = T^dag B T on the
+        local fixed points and swapped pairs of S, or ``("partner", (k,
+        p))`` for the partner of the earlier block k."""
+        dim = 2 ** self.n
+        label = np.empty(4 ** self.n, dtype=np.intp)
+        for k, idx in enumerate(self.blocks):
+            label[idx] = k
+        forms = [None] * len(self.blocks)
+        for k, (idx, mat) in enumerate(zip(self.blocks, self.block_matrices)):
+            if forms[k] is not None:
+                continue
+            forms[k] = ("complex", ())
+            swapped = (idx % dim) * dim + idx // dim
+            p = np.argsort(swapped)
+            m = label[swapped[p[0]]]
+            if not np.array_equal(self.blocks[m], swapped[p]):
+                continue
+            scale = np.abs(mat).max()
+            if m == k:
+                local = np.arange(idx.size)
+                fixed, first = np.flatnonzero(p == local), np.flatnonzero(p > local)
+                basis = (fixed, first, p[first])
+                real = _real_form(mat, *basis)
+                if np.abs(real.imag).max(initial=0.0) <= REAL_FORM_RTOL * scale:
+                    forms[k] = ("real", (np.ascontiguousarray(real.real), *basis))
+            elif forms[m] is None and (
+                    np.abs(self.block_matrices[m] - mat.conj()[np.ix_(p, p)]).max()
+                    <= EXCHANGE_PARTNER_RTOL * scale):
+                forms[m] = ("partner", (k, p))
+        return tuple(forms)
+
+    @cached_property
+    def _own_eig(self) -> tuple:
+        """Per block: ``np.linalg.eig`` of the matrix it is factored as, B
+        or, in real form, R (whose vectors are W); None for a partner."""
+        return tuple(None if kind == "partner"
+                     else np.linalg.eig(data[0] if kind == "real" else mat)
+                     for (kind, data), mat in zip(self.forms, self.block_matrices))
+
+    @cached_property
     def eig(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """Per block: eigenvalues and right eigenvectors, ``np.linalg.eig``."""
-        return tuple(np.linalg.eig(mat) for mat in self.block_matrices)
+        """Per block: eigenvalues and right eigenvectors."""
+        out = []
+        for (kind, data), own in zip(self.forms, self._own_eig):
+            if kind == "complex":
+                out.append(own)
+            elif kind == "real":
+                out.append((own[0].astype(complex), _from_real_form(own[1], *data[1:])))
+            else:
+                vals, vecs = out[data[0]]
+                out.append((vals.conj(), vecs.conj()[data[1]]))
+        return tuple(out)
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -147,10 +220,76 @@ class SuperOp:
         return np.concatenate([vals for vals, _ in self.eig])
 
     @cached_property
+    def eig_inverses(self) -> tuple[np.ndarray, ...]:
+        """Per block: the inverse of the eigenvector matrix."""
+        out = []
+        for (kind, data), own, (_, vecs) in zip(self.forms, self._own_eig, self.eig):
+            if kind == "complex":
+                out.append(np.linalg.inv(vecs))
+            elif kind == "real":
+                # V^-1 = W^-1 T^dag = (T (W^-1)^dag)^dag
+                inv = np.linalg.inv(own[1]).conj().T
+                out.append(_from_real_form(inv, *data[1:]).conj().T)
+            else:
+                out.append(out[data[0]].conj()[:, data[1]])
+        return tuple(out)
+
+    @cached_property
+    def eigvec_singular_values(self) -> tuple[np.ndarray, ...]:
+        """Singular values of the eigenvector matrix of each block factored
+        on its own, by those of W in real form (T is unitary); a partner's
+        are its own block's."""
+        return tuple(np.linalg.svd(own[1], compute_uv=False)
+                     for own in self._own_eig if own is not None)
+
+    @cached_property
+    def singular_values(self) -> tuple[np.ndarray, ...]:
+        """Per block: singular values, by those of R in real form."""
+        out = []
+        for (kind, data), mat in zip(self.forms, self.block_matrices):
+            if kind == "partner":
+                out.append(out[data[0]])
+            else:
+                out.append(np.linalg.svd(data[0] if kind == "real" else mat,
+                                         compute_uv=False))
+        return tuple(out)
+
+    def fill_partners(self, vec: np.ndarray) -> np.ndarray:
+        """Set every partner's slice of ``vec`` to the permuted conjugate
+        of its own block's slice, in place: right for vec(X) of a Hermitian
+        X, and for anything L maps it to, since vec(X) = S conj(vec(X))."""
+        for idx, (kind, data) in zip(self.blocks, self.forms):
+            if kind == "partner":
+                vec[idx] = vec[self.blocks[data[0]]].conj()[data[1]]
+        return vec
+
+    @cached_property
     def null_basis(self) -> np.ndarray:
-        """Orthonormal right null-space basis (columns), by one SVD per block."""
-        return _block_null_space(self.block_matrices, self.blocks,
-                                 self.rounding_floor)
+        """Orthonormal right null-space basis (columns)."""
+        return _null_vectors(self.block_matrices, self.blocks,
+                             self.singular_values, self.rounding_floor)
+
+
+def _real_form(mat: np.ndarray, fixed, first, second) -> np.ndarray:
+    """T^dag B T in the basis T of ``SuperOp``'s real form, from sums and
+    differences of B's columns and then rows, so no dense product with T
+    runs; its imaginary part is exactly zero when conj(B) = B[p][:, p]."""
+    c = np.sqrt(0.5)
+    cols = np.concatenate([mat[:, fixed], c * (mat[:, first] + mat[:, second]),
+                           1j * c * (mat[:, first] - mat[:, second])], axis=1)
+    return np.concatenate([cols[fixed], c * (cols[first] + cols[second]),
+                           -1j * c * (cols[first] - cols[second])])
+
+
+def _from_real_form(w: np.ndarray, fixed, first, second) -> np.ndarray:
+    """T w: the rows of ``w`` back from the real-form basis T."""
+    k, m = len(fixed), len(first)
+    s, d = w[k:k + m], w[k + m:]
+    out = np.empty(w.shape, dtype=complex)
+    out[fixed] = w[:k]
+    out[first] = np.sqrt(0.5) * (s + 1j * d)
+    out[second] = np.sqrt(0.5) * (s - 1j * d)
+    return out
 
 
 def _edge_components(rows: np.ndarray, cols: np.ndarray,
@@ -368,7 +507,7 @@ def exchange_symmetry_defect(doubled: PauliSum) -> float:
     return defect
 
 
-def build_ldl(spec: LmeSpec) -> tuple[SuperOp, PauliSum]:
+def build_ldl(spec: LmeSpec, liouv: SuperOp | None = None) -> tuple[SuperOp, PauliSum]:
     """Block and Pauli-sum forms of the squared generator.
 
     L is block-diagonal, so L^dag L is too, on the same blocks: each block
@@ -377,9 +516,12 @@ def build_ldl(spec: LmeSpec) -> tuple[SuperOp, PauliSum]:
     ``pauli_liouvillian``; it is cross-checked entry by entry against the
     scattered blocks (an entrywise bound also bounds every Pauli
     coefficient, |Tr(P D)|/2^n <= max|D_ij|), and disagreement beyond
-    ``LDL_FORMS_TOL`` means a construction bug and raises.
+    ``LDL_FORMS_TOL`` means a construction bug and raises.  ``liouv``,
+    the generator of ``spec`` if it is already built, saves building it
+    again.
     """
-    liouv = build_liouvillian(spec)
+    if liouv is None:
+        liouv = build_liouvillian(spec)
     ldl = SuperOp(spec.n, liouv.blocks,
                   [mat.conj().T @ mat for mat in liouv.block_matrices])
     lp = pauli_liouvillian(
@@ -409,22 +551,31 @@ def _null_space(matrix: np.ndarray) -> np.ndarray:
 
 def _block_null_space(mats, blocks, floor: float) -> np.ndarray:
     """Null-space basis of the block-diagonal matrix whose block on the
-    index set ``blocks[k]`` is ``mats[k]``: one SVD per block, rank by
-    NULL_SPACE_RTOL * the largest singular value of all blocks, floored at
-    ``floor``, and each null vector embedded at full length."""
+    index set ``blocks[k]`` is ``mats[k]``."""
+    return _null_vectors(mats, blocks,
+                         [np.linalg.svd(mat, compute_uv=False) for mat in mats], floor)
+
+
+def _null_vectors(mats, blocks, svals, floor: float) -> np.ndarray:
+    """Null-space basis of the block-diagonal matrix with blocks ``mats``
+    on ``blocks`` and singular values ``svals``: rank by NULL_SPACE_RTOL *
+    the largest singular value of all blocks, floored at ``floor``; one
+    full SVD of each block whose smallest singular value is at or below
+    that cut, and each null vector embedded at full length."""
     dim = sum(len(idx) for idx in blocks)
-    svds = [np.linalg.svd(mat)[1:] for mat in mats]
-    smax = max((svals[0] for svals, _ in svds if svals.size), default=0.0)
+    smax = max((s[0] for s in svals if s.size), default=0.0)
     if smax == 0.0:
         return np.eye(dim, dtype=complex)
     cut = max(NULL_SPACE_RTOL * smax, floor)
     pieces = []
-    for idx, (svals, vh) in zip(blocks, svds):
-        rank = int(np.sum(svals > cut))
-        piece = np.zeros((dim, vh.shape[0] - rank), dtype=vh.dtype)
-        piece[idx] = vh[rank:].conj().T
-        pieces.append(piece)
-    return np.concatenate(pieces, axis=1)
+    for idx, mat, s in zip(blocks, mats, svals):
+        if s.size and s[-1] <= cut:
+            _, s, vh = np.linalg.svd(mat)
+            rank = int(np.sum(s > cut))
+            piece = np.zeros((dim, vh.shape[0] - rank), dtype=vh.dtype)
+            piece[idx] = vh[rank:].conj().T
+            pieces.append(piece)
+    return np.concatenate(pieces or [np.zeros((dim, 0), dtype=complex)], axis=1)
 
 
 def _hermitian_part(mat: np.ndarray) -> np.ndarray:
@@ -582,7 +733,7 @@ def spectral_diagnostics(
     nonzero_re = np.abs(evals.real)[np.abs(evals.real) > DECAY_RATE_FLOOR]
     gap = float(nonzero_re.min()) if nonzero_re.size else None
     # the condition number of the block-diagonal eigenvector matrix
-    svals = [np.linalg.svd(vecs, compute_uv=False) for _, vecs in liouv.eig]
+    svals = liouv.eigvec_singular_values
     with np.errstate(divide="ignore"):
         cond = float(max(s[0] for s in svals) / min(s[-1] for s in svals))
     diagonalizable = bool(cond < DIAGONALIZABLE_COND_MAX)
@@ -614,19 +765,21 @@ def _mixing_time_estimate(
     if gap is None or probes < 1:
         return None
     dim = 2 ** liouv.n
+    # every probe is vec of a Hermitian difference, so each partner's slice
+    # is filled from its own block's, which alone is propagated
+    own = [k for k, (kind, _) in enumerate(liouv.forms) if kind != "partner"]
     if diagonalizable:
-        factors = [(vals, vecs, np.linalg.inv(vecs)) for vals, vecs in liouv.eig]
 
         def propagator(vec):
             # the eigen-coefficients of a probe are taken once, not per time
-            parts = [(idx, vals, vecs, inv @ vec[idx])
-                     for idx, (vals, vecs, inv) in zip(liouv.blocks, factors)]
+            parts = [(liouv.blocks[k], *liouv.eig[k],
+                      liouv.eig_inverses[k] @ vec[liouv.blocks[k]]) for k in own]
 
             def at(t):
                 out = np.empty(vec.shape, dtype=complex)
                 for idx, vals, vecs, coeffs in parts:
                     out[idx] = vecs @ (np.exp(vals * t) * coeffs)
-                return out
+                return liouv.fill_partners(out)
 
             return at
 
@@ -635,9 +788,10 @@ def _mixing_time_estimate(
         def propagator(vec):
             def at(t):
                 out = np.empty(vec.shape, dtype=complex)
-                for idx, mat in zip(liouv.blocks, liouv.block_matrices):
-                    out[idx] = _expm(mat * t) @ vec[idx]
-                return out
+                for k in own:
+                    idx = liouv.blocks[k]
+                    out[idx] = _expm(liouv.block_matrices[k] * t) @ vec[idx]
+                return liouv.fill_partners(out)
 
             return at
 
@@ -681,14 +835,24 @@ def _mixing_time_estimate(
             if doublings > 80:
                 return None
         t_lo = 0.0 if doublings == 0 else t_hi / 2.0
-        for _ in range(60):
-            mid = 0.5 * (t_lo + t_hi)
-            if distance(mid) <= target:
-                t_hi = mid
-            else:
-                t_lo = mid
-        estimate = max(estimate, t_hi)
+        estimate = max(estimate, _bisect(distance, target, t_lo, t_hi))
     return estimate
+
+
+def _bisect(distance, target: float, t_lo: float, t_hi: float) -> float:
+    """The end t_hi of [t_lo, t_hi] after 60 halvings that keep
+    distance(t_lo) > target >= distance(t_hi).  They stop early once the
+    midpoint rounds onto an end: distance is a fixed function of t, so
+    every later halving would leave both ends where they are."""
+    for _ in range(60):
+        mid = 0.5 * (t_lo + t_hi)
+        if mid == t_lo or mid == t_hi:
+            break
+        if distance(mid) <= target:
+            t_hi = mid
+        else:
+            t_lo = mid
+    return t_hi
 
 
 def _expm(a: np.ndarray) -> np.ndarray:

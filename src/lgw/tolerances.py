@@ -70,6 +70,16 @@ LDL_FORMS_TOL = 1e-10
 # squared generator: a construction bug, or a target to reject.
 EXCHANGE_PAIRING_TOL = 1e-10
 
+# A generator block S maps onto another is that block's permuted conjugate
+# within this times max|B|, and takes its factors; exact on real jumps,
+# about eps where BLAS forms F^dag F, and below the backward error of eig.
+EXCHANGE_PARTNER_RTOL = 1e-12
+
+# A self-paired block is factored in real form when T^dag B T has no
+# imaginary part above this times max|B|: dropping it then perturbs B by
+# less than the backward error of eig.
+REAL_FORM_RTOL = 1e-12
+
 # -- verify checks --------------------------------------------------------
 
 # spectrum_nonnegative: the smallest eigenvalue of L^dag L is >= -slack.

@@ -1,4 +1,6 @@
 import numpy as np
+import scipy.linalg
+from scipy.optimize import linear_sum_assignment
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
@@ -8,6 +10,7 @@ from lgw.lindblad import (
     JumpChannel,
     LmeSpec,
     SuperOp,
+    _block_null_space,
     _edge_components,
     build_ldl,
     build_liouvillian,
@@ -136,6 +139,55 @@ def assert_ldl_matches_dense(spec):
                  "ground_matches_steady"):
         assert getattr(got, flag) == getattr(want, flag), flag
     return ldl, split
+
+
+def assert_factors_match_dense(liouv):
+    """Assert that the cached per-block factors of ``liouv``, however each
+    block was factored (complex, real form, or as a partner's permuted
+    conjugate), match one factorization of the full matrix: the
+    eigenvalue multiset within 1e-12 * max|lambda| (by assignment) where
+    the spectrum is well conditioned, B V = V Lam (within 1e-12 * max|B|,
+    or what eig of the block alone achieves) and, where V is invertible,
+    V^-1 V = I on every block, the eigenvector condition of
+    the block-diagonal V, and the null-space projector.  Returns the
+    eigenvector condition."""
+    mat = liouv.matrix
+    vals = liouv.eigenvalues
+    vecs = scipy.linalg.block_diag(*[v for _, v in liouv.eig])
+    cond = np.linalg.cond(vecs)
+    svals = liouv.eigvec_singular_values
+    got = max(s[0] for s in svals) / min(s[-1] for s in svals)
+    assert abs(got - cond) <= max(1e-10, 1e-14 * cond) * cond
+    scale = max(np.abs(mat).max(), 1e-300)
+    for blk, (lam, v) in zip(liouv.block_matrices, liouv.eig):
+        # no worse than LAPACK's eig of the block alone, which returns
+        # wrong vectors for a block with a subnormal entry (a rate 5e-324)
+        own_lam, own_v = np.linalg.eig(blk)
+        own = np.abs(blk @ own_v - own_v * own_lam).max()
+        assert np.abs(blk @ v - v * lam).max() <= max(1e-12 * scale, own)
+    if cond < 1e8:
+        dense = np.linalg.eigvals(mat)
+        dist = np.abs(vals[:, None] - dense[None, :])
+        rows, cols = linear_sum_assignment(dist)
+        assert dist[rows, cols].max() <= 1e-12 * np.abs(dense).max()
+        for (_, v), inv in zip(liouv.eig, liouv.eig_inverses):
+            assert np.abs(inv @ v - np.eye(len(v))).max() <= 1e-12 * cond
+    null = _block_null_space([mat], [np.arange(len(mat))], liouv.rounding_floor)
+    basis = liouv.null_basis
+    assert basis.shape == null.shape
+    assert np.abs(basis @ basis.conj().T - null @ null.conj().T).max() < 1e-8
+    return cond
+
+
+def bisect_all_halvings(distance, target, t_lo, t_hi):
+    """Oracle for ``lindblad._bisect``: all 60 halvings, none skipped."""
+    for _ in range(60):
+        mid = 0.5 * (t_lo + t_hi)
+        if distance(mid) <= target:
+            t_hi = mid
+        else:
+            t_lo = mid
+    return t_hi
 
 
 def exchange_matrix(n):

@@ -14,7 +14,7 @@ from conftest import (
     rand_lme_spec,
 )
 
-from lgw import cli
+from lgw import cli, lindblad
 from lgw.lindblad import JumpChannel, LmeSpec, lme_to_json_dict
 from lgw.pauli import PauliSum, format_pauli_sum
 from lgw.xl import LiouvillianAnsatz, site_channel
@@ -137,6 +137,17 @@ def test_verify_passes_for_valid_spec(tmp_path):
         == cli.EXIT_OK
     report = json.loads((tmp_path / "verify_report.json").read_text())
     assert all(report["checks"].values())
+
+
+def test_verify_builds_the_generator_once(tmp_path, monkeypatch):
+    path = sigma_minus_spec_file(tmp_path)
+    calls = []
+    build = lindblad.build_liouvillian
+    monkeypatch.setattr(lindblad, "build_liouvillian",
+                        lambda spec: calls.append(spec) or build(spec))
+    assert cli.main(["verify", "--spec", str(path), "--out", str(tmp_path)]) \
+        == cli.EXIT_OK
+    assert len(calls) == 1
 
 
 def test_verify_rejects_negative_rate(tmp_path):

@@ -10,8 +10,10 @@ from conftest import (
     EXCEPTIONAL_POINT_SPEC,
     IDENTITY_JUMP_SPEC,
     RANK_FLOOR_SPEC,
+    assert_factors_match_dense,
     assert_ldl_matches_dense,
     assert_matches_dense,
+    bisect_all_halvings,
     exchange_conjugate,
     exchange_matrix,
     maximally_mixed,
@@ -23,6 +25,7 @@ from conftest import (
     unique_steady_spec,
     vec_overlap,
 )
+from lgw import lindblad
 from lgw.errors import (
     CapacityError,
     DimensionError,
@@ -334,32 +337,60 @@ def test_spectral_diagnostics_gaps():
     assert report.gap is None and report.mixing_time_estimate is None
 
 
-def test_generator_is_factored_once(monkeypatch):
-    rng = np.random.default_rng(38)
-    spec, _ = unique_steady_spec(2, rng)
-    liouv = build_liouvillian(spec)
-    ldl, _ = build_ldl(spec)
-    calls = {"eig": 0, "eigvals": 0, "svd": 0}
+def counting_factorizations(monkeypatch, liouv, names=("eig", "eigvals", "svd", "inv")):
+    """Record the size of every ``np.linalg`` call in ``names``, split into
+    ``svd`` (singular values alone) and ``svd_uv`` (with vectors); the
+    full 4^n x 4^n matrix of a several-block ``liouv`` must never be
+    factored, and an SVD with vectors must be of a generator block."""
+    calls = {name: [] for name in names} | {"svd_uv": []}
+    full = (4 ** liouv.n, 4 ** liouv.n)
 
     def counting(name):
         inner = getattr(np.linalg, name)
 
         def wrapper(a, *args, **kwargs):
-            if any(a is mat for mat in liouv.block_matrices):
-                calls[name] += 1
+            assert len(liouv.blocks) == 1 or a.shape != full
+            key = name
+            if name == "svd" and kwargs.get("compute_uv", True):
+                assert any(blk is a for blk in liouv.block_matrices)
+                key = "svd_uv"
+            calls[key].append(len(a))
             return inner(a, *args, **kwargs)
 
         return wrapper
 
-    for name in calls:
+    for name in names:
         monkeypatch.setattr(np.linalg, name, counting(name))
+    return calls
+
+
+def own_block_sizes(liouv):
+    """Sizes of the blocks factored on their own: one per exchange pair,
+    the self-paired block and any block that failed its pairing check."""
+    return sorted(len(idx) for idx, (kind, _) in zip(liouv.blocks, liouv.forms)
+                  if kind != "partner")
+
+
+def test_generator_is_factored_once(monkeypatch):
+    rng = np.random.default_rng(38)
+    spec, _ = unique_steady_spec(2, rng)
+    liouv = build_liouvillian(spec)
+    ldl, _ = build_ldl(spec, liouv)
+    calls = counting_factorizations(monkeypatch, liouv)
     steady_state(liouv)
     spectral_diagnostics(liouv, mixing_probes=2)
     report = verify_ldl_properties(ldl, liouv)
     assert integration_steps(liouv, 1.0) >= 200
     assert report.steady_dim == 1
-    blocks = len(liouv.blocks)
-    assert calls == {"eig": blocks, "eigvals": 0, "svd": blocks}
+    own = own_block_sizes(liouv)
+    # one eig per block factored on its own (of R for the self-paired
+    # block); singular values of each of those blocks and of each V; one
+    # inverse each; vectors of the one block that holds the steady state
+    assert sorted(calls["eig"]) == own and calls["eigvals"] == []
+    assert sorted(calls["inv"]) == own
+    sizes = [size for size in calls["svd"] if size in own]
+    assert sorted(sizes) == sorted(own + own)
+    assert len(calls["svd_uv"]) == 1
     # none of these reads the full matrix, so it was never scattered
     assert "matrix" not in vars(liouv)
 
@@ -535,31 +566,109 @@ def test_null_space_rank_rule_floored_at_rounding_of_the_terms():
 
 def test_blocks_are_factored_once_each(monkeypatch):
     liouv = xxz_liouvillian(3, 12)
-    calls = {"eig": [], "svd": []}
-
-    def counting(name):
-        inner = getattr(np.linalg, name)
-
-        def wrapper(a, *args, **kwargs):
-            assert a.shape != (4 ** 3, 4 ** 3)
-            # the null-space SVD; singular values alone are taken of the
-            # eigenvectors (cond) and of density matrices (trace norm)
-            if name == "eig" or kwargs.get("compute_uv", True):
-                assert any(blk is a for blk in liouv.block_matrices)
-                calls[name].append(len(a))
-            return inner(a, *args, **kwargs)
-
-        return wrapper
-
-    for name in calls:
-        monkeypatch.setattr(np.linalg, name, counting(name))
+    kinds = [kind for kind, _ in liouv.forms]
+    assert kinds == ["real"] + ["complex"] * 3 + ["partner"] * 3
+    calls = counting_factorizations(monkeypatch, liouv, ("eig", "svd"))
     steady_state(liouv)
     spectral_diagnostics(liouv, mixing_probes=2)
     steps = integration_steps(liouv, 1.0)
     evolve(liouv, maximally_mixed(3), 1.0, steps)
-    sizes = sorted(len(idx) for idx in liouv.blocks)
-    assert sorted(calls["eig"]) == sizes and sorted(calls["svd"]) == sizes
+    # one eig per exchange pair and one of R; vectors only of the block
+    # whose smallest singular value is at or below the cut
+    own = own_block_sizes(liouv)
+    assert sorted(calls["eig"]) == own == [1, 6, 15, 20]
+    (home,) = [idx for idx in liouv.blocks if 0 in idx]
+    assert calls["svd_uv"] == [len(home)]
     assert "matrix" not in vars(liouv)
+
+
+@pytest.mark.parametrize("sites", [1, 2, 3, 4, 5])
+def test_paired_and_real_form_factors_match_dense_oracle(sites):
+    liouv = xxz_liouvillian(sites, 60 + sites)
+    kinds = [kind for kind, _ in liouv.forms]
+    # the block of magnetization difference 0 holds every diagonal entry
+    # and is self-paired; the block of q pairs with that of -q
+    assert kinds == ["real"] + ["complex"] * sites + ["partner"] * sites
+    assert_factors_match_dense(liouv)
+
+
+def test_random_spec_factors_match_dense_oracle():
+    # complex jumps: F^dag F comes from BLAS, so pairs agree only to rounding
+    rng = np.random.default_rng(61)
+    for n in (1, 2, 3):
+        for _ in range(6):
+            assert_factors_match_dense(
+                build_liouvillian(rand_lme_spec(n, rng, jumps=int(rng.integers(0, 4)))))
+
+
+def test_partner_past_the_tolerance_is_factored_on_its_own():
+    liouv = xxz_liouvillian(2, 7)
+    k = [kind for kind, _ in liouv.forms].index("partner")
+    own, _ = liouv.forms[k][1]
+    scale = np.abs(liouv.block_matrices[own]).max()
+    for shift, kind in ((1e-14, "partner"), (1e-10, "complex")):
+        mats = list(liouv.block_matrices)
+        mats[k] = mats[k].copy()
+        mats[k][0, -1] += shift * scale
+        op = SuperOp(liouv.n, liouv.blocks, mats)
+        assert op.forms[k][0] == kind and op.forms[own][0] == "complex"
+        assert_factors_match_dense(op)
+    assert np.array_equal(op.eig[k][0], np.linalg.eig(mats[k])[0])
+
+
+def test_self_paired_block_past_the_residue_takes_the_complex_path():
+    liouv = xxz_liouvillian(2, 8)
+    assert liouv.forms[0][0] == "real"
+    scale = np.abs(liouv.block_matrices[0]).max()
+    for shift, kind in ((1e-14j, "real"), (1e-10j, "complex")):
+        mats = list(liouv.block_matrices)
+        mats[0] = mats[0] + shift * scale * np.eye(len(mats[0]))
+        op = SuperOp(liouv.n, liouv.blocks, mats)
+        assert op.forms[0][0] == kind
+        assert_factors_match_dense(op)
+    vals, vecs = np.linalg.eig(mats[0])
+    assert np.array_equal(op.eig[0][0], vals) and np.array_equal(op.eig[0][1], vecs)
+
+
+def test_fill_partners_restores_the_image_of_a_hermitian_matrix():
+    # L maps vec(X) of a Hermitian X to vec of a Hermitian matrix, so the
+    # partners' slices follow from their own blocks'
+    liouv = xxz_liouvillian(3, 13)
+    herm = rand_rho(3, np.random.default_rng(13)).matrix
+    want = liouv.matrix @ herm.reshape(-1)
+    got = want.copy()
+    for idx, (kind, _) in zip(liouv.blocks, liouv.forms):
+        if kind == "partner":
+            got[idx] = np.nan
+    liouv.fill_partners(got)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_both_probe_routes_fill_partners_alike():
+    # the eigendecomposition and the matrix exponential propagate the same
+    # probes, each over one block per pair
+    liouv = xxz_liouvillian(3, 14)
+    assert "partner" in [kind for kind, _ in liouv.forms]
+    gap = spectral_diagnostics(liouv, mixing_probes=1).gap
+    by_eig = _mixing_time_estimate(liouv, gap, True, 2, 4)
+    by_expm = _mixing_time_estimate(liouv, gap, False, 2, 4)
+    assert by_eig == pytest.approx(by_expm, rel=1e-9)
+
+
+@pytest.mark.parametrize("spec", [xxz_spec(3, 4), xxz_spec(4, 5),
+                                  lme_from_json_dict(EXCEPTIONAL_POINT_SPEC)[0]])
+def test_bisection_stop_is_bit_identical(monkeypatch, spec):
+    liouv = build_liouvillian(spec)
+    calls = []
+    norm = lindblad.trace_norm
+    monkeypatch.setattr(lindblad, "trace_norm", lambda m: calls.append(1) or norm(m))
+    fast = spectral_diagnostics(liouv, mixing_probes=4, seed=9).mixing_time_estimate
+    fast_calls = len(calls)
+    calls.clear()
+    monkeypatch.setattr(lindblad, "_bisect", bisect_all_halvings)
+    full = spectral_diagnostics(liouv, mixing_probes=4, seed=9).mixing_time_estimate
+    assert fast is not None and fast.hex() == full.hex()
+    assert fast_calls < len(calls)
 
 
 def test_spectral_report_json_keys():

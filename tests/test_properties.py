@@ -19,6 +19,7 @@ from conftest import (
     EXCEPTIONAL_POINT_SPEC,
     IDENTITY_JUMP_SPEC,
     RANK_FLOOR_SPEC,
+    assert_factors_match_dense,
     assert_ldl_matches_dense,
     assert_matches_dense,
 )
@@ -216,7 +217,9 @@ def test_front_door_properties(case):
 def test_multi_block_front_door_properties(case):
     spec, observable = case
     parsed = lme_from_json_dict(spec)[0]
-    assert len(assert_matches_dense(parsed).blocks) >= 2
+    liouv = assert_matches_dense(parsed)
+    assert len(liouv.blocks) >= 2
+    assert_factors_match_dense(liouv)
     assert_ldl_matches_dense(parsed)
     with tempfile.TemporaryDirectory() as out:
         _check_front_door(spec, observable, out)

@@ -11,6 +11,8 @@ columns and ``wall=`` in its stdout) are blanked before hashing, so two
 source trees that compute the same thing print the same lines.  stdout
 and stderr count as the artifacts ``<stdout>`` and ``<stderr>``, and
 warnings as ``<warnings>`` (their messages only, without source lines).
+The BLAS thread count moves bytes, so it is set to 1 before numpy loads
+unless the environment sets it, and printed first, as a ``#`` line.
 
     python tools/artifact_digests.py                  # this tree's src/
     python tools/artifact_digests.py --src ../base/src > base.txt
@@ -31,6 +33,12 @@ import re
 import sys
 import tempfile
 import warnings
+
+# BLAS thread counts move bytes, so pin them to one before numpy loads,
+# unless the caller set them
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+for _var in BLAS_THREAD_VARS:
+    os.environ.setdefault(_var, "1")
 
 import numpy as np
 
@@ -261,6 +269,8 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
     sys.path.insert(0, os.path.abspath(args.src))
+    print("# BLAS threads: " + " ".join(f"{var}={os.environ[var]}"
+                                        for var in BLAS_THREAD_VARS))
     with tempfile.TemporaryDirectory() as inputs:
         for line in run_all(inputs):
             print(line)
