@@ -42,6 +42,7 @@ from .tolerances import (
     REPAIR_MASS_MAX,
     ST_COMMUTATOR_TOL,
     STEADY_TRACE_FLOOR,
+    SUBNORMAL_FLOOR,
     TRACE_TOL,
     ZERO_FLOOR,
 )
@@ -389,9 +390,9 @@ def build_liouvillian(spec: LmeSpec) -> SuperOp:
     order of the expression above, then split along the components of its
     own nonzero pattern, which cancellation between terms can make finer;
     so the blocks and their entries are those of the dense sum, and the
-    4^n x 4^n matrix is never formed.  A generator within rounding of the
-    scale of its terms (H = 0, every F proportional to I) is the zero
-    generator.
+    4^n x 4^n matrix is never formed.  Entries below ``SUBNORMAL_FLOOR``
+    in magnitude are zero, and a generator within rounding of the scale
+    of its terms (H = 0, every F proportional to I) is the zero generator.
     """
     check_dense(2 * spec.n)
     dim = 2 ** spec.n
@@ -406,6 +407,8 @@ def build_liouvillian(spec: LmeSpec) -> SuperOp:
     floor = dim * dim * np.finfo(float).eps * scale
     coarse = _edge_components(*_term_edges(h, terms), dim * dim)
     mats = [_gather_block(idx, h, terms) for idx in coarse]
+    for mat in mats:
+        mat[np.abs(mat) < SUBNORMAL_FLOOR] = 0.0
     if np.sqrt(sum(np.vdot(mat, mat).real for mat in mats)) <= floor:
         for mat in mats:
             mat[:] = 0.0
@@ -491,20 +494,7 @@ def exchange_symmetry_defect(doubled: PauliSum) -> float:
     the swap keeps.  A word whose swapped partner is absent is compared
     with zero, which also covers the partner's own comparison.
     """
-    if doubled.n % 2:
-        raise DimensionError("doubled-register sum must have even qubit count")
-    half = doubled.n // 2
-    low = (1 << half) - 1
-    coeffs = {(w.x, w.z): c for w, c in doubled}
-    defect = 0.0
-    for (x, z), c in coeffs.items():
-        partner = coeffs.get(
-            ((x >> half) | ((x & low) << half), (z >> half) | ((z & low) << half)),
-            0.0,
-        )
-        sign = -1 if (x & z).bit_count() & 1 else 1
-        defect = max(defect, abs(c - partner.conjugate() * sign))
-    return defect
+    return doubled.max_coeff_diff(doubled.swap_halves().conj())
 
 
 def build_ldl(spec: LmeSpec, liouv: SuperOp | None = None) -> tuple[SuperOp, PauliSum]:
@@ -951,7 +941,8 @@ def verify_ldl_properties(ldl: SuperOp, liouvillian: SuperOp) -> LdlPropertyRepo
 
 
 def _sum_to_triples(s: PauliSum) -> list:
-    return [[c.real, c.imag, w.letters] for w, c in s.sorted_terms()]
+    s = s.sorted()
+    return [[c.real, c.imag, w] for c, w in zip(s.coeffs.tolist(), s.letters())]
 
 
 def _sum_from_triples(triples, n: int) -> PauliSum:

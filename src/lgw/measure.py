@@ -128,10 +128,8 @@ def substitute_pauli(word: PauliString) -> PauliSum:
     are ordered by their copy-1 letters.
     """
     row, col = word.halves()
-    b = PauliSum.from_term(word, col.transpose_sign) @ _swap(row.n)
-    return PauliSum(word.n, dict(
-        sorted(b.terms.items(), key=lambda kv: kv[0].letters[:row.n])
-    ))
+    # copy-1 letters are row's times one SWAP term's, so no two terms tie
+    return (PauliSum.from_term(word, col.transpose_sign) @ _swap(row.n)).sorted()
 
 
 def substitute(a: PauliSum) -> PauliSum:
@@ -211,7 +209,7 @@ def hadamard_sample(
         raise ValidationError(
             f"a Hadamard read takes one word c*A, got {len(a)} terms"
         )
-    ((word, coeff),) = a.terms.items()
+    ((word, coeff),) = a
     defect = abs(abs(coeff) ** 2 - 1.0)
     if defect > UNITARY_TOL:
         raise ValidationError(f"substitute is not unitary (defect {defect:.3e})")
@@ -244,8 +242,8 @@ class MeasurementPlan:
     """A sampled-measurement layout for one doubled-register observable."""
 
     observable: PauliSum
+    terms: PauliSum               # the observable in letter order
     weights: tuple[float, ...]
-    words: tuple[PauliString, ...]
     n_h: int
     n_s: int
     seed: int
@@ -274,11 +272,11 @@ class MeasurementPlan:
             raise DimensionError(
                 "observable must live on a doubled (even) register"
             )
-        terms = observable.sorted_terms()
+        terms = observable.sorted()
         return cls(
             observable=observable,
-            weights=tuple(float(c.real) for _, c in terms),
-            words=tuple(w for w, _ in terms),
+            terms=terms,
+            weights=tuple(terms.coeffs.real.tolist()),
             n_h=n_h,
             n_s=n_s,
             seed=seed,
@@ -302,7 +300,7 @@ class MeasurementPlan:
 
     def to_json_dict(self) -> dict:
         return {
-            "observable": [[g, w.letters] for g, w in zip(self.weights, self.words)],
+            "observable": [list(gw) for gw in zip(self.weights, self.terms.letters())],
             "n_h": self.n_h,
             "n_s": self.n_s,
             "seed": self.seed,
@@ -341,7 +339,7 @@ def observable_norms(a: PauliSum) -> tuple[float, float, int]:
     keyed on its identity (sums are immutable), so repeated reads of one
     observable diagonalize it once."""
     if len(a) == 1:
-        (coeff,) = a.terms.values()
+        (coeff,) = a.coeffs.tolist()
         return abs(coeff), a.frobenius_norm_sq(), 1
     evals = np.linalg.eigvalsh(to_matrix(a))
     return float(np.abs(evals).max()), a.frobenius_norm_sq(), len(a)
@@ -375,8 +373,8 @@ def estimate_expectation(
         raise DimensionError("plan observable does not match two copies of rho")
     shots = plan.shots_per_term()
     numerator = 0.0
-    for i, (g, w) in enumerate(zip(plan.weights, plan.words)):
-        numerator += g * hadamard_sample(PauliSum.from_term(w), rho, shots[i],
+    for i, g in enumerate(plan.weights):
+        numerator += g * hadamard_sample(plan.terms.word_sum(i), rho, shots[i],
                                          plan.seed, stream=i)
     purity_est = swap_sample(rho, plan.n_s, plan.seed)
     if purity_est <= 0:

@@ -7,11 +7,15 @@ Conventions fixed once for the whole package:
   words are always phase-free,
 * coefficients with magnitude below ``COEFF_PRUNE_TOL`` are dropped by
   every arithmetic operation.
+
+A ``PauliSum`` stores letter keys (see below) and a coefficient array;
+``PauliString`` is the scalar view of one word, and the tests' reference.
 """
 
 from __future__ import annotations
 
 import cmath
+from types import MappingProxyType
 
 import numpy as np
 
@@ -75,10 +79,6 @@ class PauliString:
             z |= zb << k
         return cls(len(letters), x, z)
 
-    @classmethod
-    def identity(cls, n: int) -> "PauliString":
-        return cls(n, 0, 0)
-
     @property
     def letters(self) -> str:
         return "".join(
@@ -87,17 +87,9 @@ class PauliString:
         )
 
     @property
-    def weight(self) -> int:
-        return (self.x | self.z).bit_count()
-
-    @property
-    def y_count(self) -> int:
-        return (self.x & self.z).bit_count()
-
-    @property
     def transpose_sign(self) -> int:
         """Sign picked up under transposition (equally, conjugation)."""
-        return -1 if self.y_count & 1 else 1
+        return -1 if (self.x & self.z).bit_count() & 1 else 1
 
     def mul(self, other: "PauliString") -> tuple[complex, "PauliString"]:
         """Product self*other as (phase, word); phase is a fourth root of 1."""
@@ -153,37 +145,107 @@ class PauliString:
         return f"PauliString({self.letters!r})"
 
 
+# -- letter keys -------------------------------------------------------
+#
+# A key row holds qubit q in bits 63 - 2r and 62 - 2r of limb q // 32,
+# with r = q % 32: its z bit over its x ^ z bit, so that I, X, Y, Z read 0
+# to 3 and key rows sort as the letters do.  Both bits are xors of mask
+# bits, so the key of a product word is the xor of its factors' keys.
+# Single words move to and from key rows through their letters.
+
+_KEY_QUBITS = 32                          # qubits per 64-bit key limb
+_LOW_BITS = np.uint64(0x5555555555555555)
+# base-4 digit of each letter byte, 4 for anything else
+_DIGITS = np.full(256, 4, dtype=np.uint8)
+_DIGITS[np.frombuffer(LETTERS.encode(), np.uint8)] = np.arange(4)
+_NOT_LETTERS = str.maketrans("", "", LETTERS)
+
+
+def _key_bits(keys: np.ndarray, n: int) -> np.ndarray:
+    """(rows, n, 2) uint8: each qubit's z bit and x ^ z bit."""
+    bits = np.unpackbits(keys.astype(">u8").view(np.uint8), axis=1, count=2 * n)
+    return bits.reshape(len(keys), n, 2)
+
+
+def _pack_bits(bits: np.ndarray) -> np.ndarray:
+    """Key rows of (rows, n, 2) bit planes, the inverse of ``_key_bits``."""
+    rows, n = bits.shape[:2]
+    # as many 64-bit limbs as the word needs, and at least one
+    flat = np.zeros((rows, 64 * max(1, -(-n // _KEY_QUBITS))), dtype=np.uint8)
+    flat[:, :2 * n] = bits.reshape(rows, 2 * n)
+    return np.packbits(flat, axis=1).view(">u8").astype(np.uint64)
+
+
+def _letter_keys(words: list[str], n: int) -> np.ndarray:
+    """Key rows of n-letter words over I, X, Y, Z."""
+    if n < 0:
+        raise ValidationError("qubit count must be non-negative")
+    digits =_DIGITS[np.frombuffer("".join(words).encode(), np.uint8)]
+    digits = digits.reshape(len(words), n)
+    return _pack_bits(np.stack([digits >> 1, digits & 1], axis=-1))
+
+
+def key_letters(keys: np.ndarray, n: int) -> list[str]:
+    """The letters of each key row."""
+    bits = _key_bits(keys, n)
+    text = np.frombuffer(b"IXYZ", np.uint8)[2 * bits[..., 0] + bits[..., 1]]
+    text = text.tobytes().decode("ascii")
+    return [text[i * n:(i + 1) * n] for i in range(len(keys))]
+
+
+def _times(ca: np.ndarray, cb: np.ndarray) -> np.ndarray:
+    """ca * cb, broadcast, rounded as Python's complex product, signed
+    zeros included: (ar br - ai bi) + (ai br + ar bi) i in real
+    arithmetic, so no fused multiply-add can enter."""
+    out = (ca.real * cb.real - ca.imag * cb.imag).astype(complex)
+    out.imag = ca.imag * cb.real + ca.real * cb.imag
+    return out
+
+
 class PauliSum:
     """A complex-weighted sum of Pauli words on a fixed qubit count.
 
-    Instances are treated as immutable; arithmetic returns new sums and
-    prunes coefficients below ``COEFF_PRUNE_TOL``.
+    The terms are two arrays in term order, the order in which each
+    distinct word first appeared: ``word_keys``, one letter-key row per
+    word ((terms, limbs) uint64), and ``coeffs``, complex.
+    ``PauliSum(n, {PauliString: c})`` converts a dict; iteration and
+    ``terms`` build ``PauliString`` views on demand.
+
+    Instances are treated as immutable (and hash by identity); arithmetic
+    returns new sums and prunes coefficients below ``COEFF_PRUNE_TOL``.
     """
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "word_keys", "coeffs")
 
     def __init__(self, n: int, terms=None):
-        self.n = n
         pruned = {}
         for word, coeff in (terms or {}).items():
             if word.n != n:
-                raise DimensionError(
-                    f"term on {word.n} qubits in a {n}-qubit sum"
-                )
+                raise DimensionError(f"term on {word.n} qubits in a {n}-qubit sum")
             c = complex(coeff)
             if abs(c) >= COEFF_PRUNE_TOL:
                 pruned[word] = c
-        self.terms = pruned
+        self.n = n
+        self.word_keys = _letter_keys([word.letters for word in pruned], n)
+        self.coeffs = np.array(list(pruned.values()), dtype=complex)
 
     # -- constructors -------------------------------------------------
 
     @classmethod
+    def _from_keys(cls, n: int, keys: np.ndarray, coeffs: np.ndarray) -> "PauliSum":
+        """The sum of distinct key rows with these coefficients, pruned."""
+        kept = np.hypot(coeffs.real, coeffs.imag) >= COEFF_PRUNE_TOL
+        out = cls.__new__(cls)
+        out.n, out.word_keys, out.coeffs = n, keys[kept], coeffs[kept]
+        return out
+
+    @classmethod
     def zero(cls, n: int) -> "PauliSum":
-        return cls(n, {})
+        return cls(n)
 
     @classmethod
     def identity(cls, n: int) -> "PauliSum":
-        return cls(n, {PauliString.identity(n): 1.0})
+        return cls._from_keys(n, _letter_keys(["I" * n], n), np.ones(1, complex))
 
     @classmethod
     def from_term(cls, word: PauliString, coeff: complex = 1.0) -> "PauliSum":
@@ -191,57 +253,85 @@ class PauliSum:
 
     @classmethod
     def from_letter_terms(cls, entries) -> "PauliSum":
-        """Build from an iterable of (coeff, letters) pairs."""
+        """Build from (coeff, letters) pairs; a repeated word's coefficients add."""
         entries = list(entries)
         if not entries:
             raise ValidationError("need at least one (coeff, letters) entry")
         n = len(entries[0][1])
-        terms: dict[PauliString, complex] = {}
-        for coeff, letters in entries:
-            word = PauliString.from_letters(letters)
-            if word.n != n:
+        for _, letters in entries:
+            bad = letters.translate(_NOT_LETTERS)
+            if bad:
+                raise ValidationError(f"invalid Pauli letter {bad[0]!r}")
+            if len(letters) != n:
                 raise DimensionError("mixed word lengths in term list")
-            terms[word] = terms.get(word, 0.0) + complex(coeff)
+        keys, summed = _first_sums(
+            _letter_keys([letters for _, letters in entries], n),
+            np.array([complex(coeff) for coeff, _ in entries], dtype=complex))
         # summed before pruning, so duplicate words that overflow and NaN
         # entries (NaN stays NaN in a sum) are both caught here
-        if not all(map(cmath.isfinite, terms.values())):
+        if not np.isfinite(summed).all():
             raise ValidationError("Pauli coefficients must be finite")
-        return cls(n, terms)
+        return cls._from_keys(n, keys, summed)
 
     # -- bookkeeping ---------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self.coeffs)
 
     def __iter__(self):
-        return iter(self.terms.items())
+        return zip(map(PauliString.from_letters, self.letters()),
+                   self.coeffs.tolist())
+
+    @property
+    def terms(self):
+        """Read-only {PauliString: complex} view of the terms, in order."""
+        return MappingProxyType(dict(iter(self)))
+
+    def letters(self) -> list[str]:
+        """The letters of each term's word, in term order."""
+        return key_letters(self.word_keys, self.n)
+
+    def word_sum(self, i: int) -> "PauliSum":
+        """Term i's word alone, with coefficient 1."""
+        return PauliSum._from_keys(self.n, self.word_keys[i:i + 1], np.ones(1, complex))
+
+    def sorted(self) -> "PauliSum":
+        """The same sum with its terms in letter order."""
+        order = np.lexsort(self.word_keys.T[::-1])
+        return PauliSum._from_keys(self.n, self.word_keys[order], self.coeffs[order])
 
     def sorted_terms(self) -> list[tuple[PauliString, complex]]:
-        items = list(self.terms.items())
-        keys, _ = letter_keys([self], self.n)
-        return [items[i] for i in _letter_order(keys).tolist()]
+        return list(self.sorted())
 
     def max_weight(self) -> int:
-        return max((w.weight for w in self.terms), default=0)
+        weights = np.bitwise_count((self.word_keys | self.word_keys >> 1) & _LOW_BITS)
+        return int(weights.sum(axis=1).max(initial=0))
 
     # -- linear structure ----------------------------------------------
 
     def __add__(self, other: "PauliSum") -> "PauliSum":
         if self.n != other.n:
             raise DimensionError("qubit counts differ in sum")
-        terms = dict(self.terms)
-        for word, coeff in other.terms.items():
-            terms[word] = terms.get(word, 0.0) + coeff
-        return PauliSum(self.n, terms)
+        keys = np.concatenate([self.word_keys, other.word_keys])
+        ids, distinct, first = word_ids(keys)
+        m = len(self)
+        # self's coefficients as they are, plus other's, summed from +0.0
+        # where self lacks the word; each sum holds a word at most once
+        coeffs = np.zeros(len(distinct), dtype=complex)
+        coeffs[ids[:m]] = self.coeffs
+        coeffs[ids[m:]] += other.coeffs
+        appear = first.argsort()
+        return PauliSum._from_keys(self.n, distinct[appear], coeffs[appear])
 
     def __sub__(self, other: "PauliSum") -> "PauliSum":
         return self + (-other)
 
     def __neg__(self) -> "PauliSum":
-        return PauliSum(self.n, {w: -c for w, c in self.terms.items()})
+        return PauliSum._from_keys(self.n, self.word_keys, -self.coeffs)
 
     def __mul__(self, scalar) -> "PauliSum":
-        return PauliSum(self.n, {w: c * scalar for w, c in self.terms.items()})
+        scalar = np.array([complex(scalar)])
+        return PauliSum._from_keys(self.n, self.word_keys, _times(self.coeffs, scalar))
 
     __rmul__ = __mul__
 
@@ -250,71 +340,49 @@ class PauliSum:
             raise DimensionError("qubit counts differ in product")
         # every word product, self's word major, as one grid; the product
         # rows are freed once summed
-        keys, coeffs = letter_keys([self, other], self.n)
+        keys = np.concatenate([self.word_keys, other.word_keys])
+        coeffs = np.concatenate([self.coeffs, other.coeffs])
         m = len(self)
         return PauliSum._from_keys(self.n, *_first_sums(*_products(
             keys, coeffs, coeffs, np.s_[:m, None], np.s_[None, m:])))
 
-    @classmethod
-    def _from_keys(cls, n: int, keys: np.ndarray, re: np.ndarray,
-                   im: np.ndarray) -> "PauliSum":
-        """The sum of distinct n-qubit key rows with coefficients re + i*im,
-        in row order, pruned as ``PauliSum`` prunes."""
-        kept = np.hypot(re, im) >= COEFF_PRUNE_TOL
-        keys = keys[kept]
-        k, chunks = len(keys), max(1, -(-n // 64))
-        # z then x masks as 64-bit chunks, low chunk first, from bit
-        # planes[0 or 1, word, qubit] a block of words at a time
-        masks = np.zeros((2, k, 8 * chunks), np.uint8)
-        for lo in range(0, k, _KEY_BLOCK):
-            block = _key_bits(keys[lo:lo + _KEY_BLOCK], n)
-            planes = np.ascontiguousarray(block.transpose(2, 0, 1))
-            planes[1] ^= planes[0]
-            masks[:, lo:lo + _KEY_BLOCK, :-(-n // 8)] = np.packbits(
-                planes, axis=-1, bitorder="little")
-        z, x = masks.view("<u8")
-        xs, zs = x[:, 0].tolist(), z[:, 0].tolist()
-        for c in range(1, chunks):
-            xs = [v | u << 64 * c for v, u in zip(xs, x[:, c].tolist())]
-            zs = [v | u << 64 * c for v, u in zip(zs, z[:, c].tolist())]
-        coeffs = np.empty(k, dtype=complex)
-        coeffs.real, coeffs.imag = re[kept], im[kept]
-        out = cls.__new__(cls)
-        out.n = n
-        out.terms = dict(zip(map(PauliString, [n] * k, xs, zs), coeffs.tolist()))
-        return out
-
-    def _word_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """X masks, Z masks and coefficients of the terms, in term order."""
-        m = len(self.terms)
-        return (
-            np.fromiter((w.x for w in self.terms), dtype=np.int64, count=m),
-            np.fromiter((w.z for w in self.terms), dtype=np.int64, count=m),
-            np.fromiter(self.terms.values(), dtype=complex, count=m),
-        )
-
     # -- involutions ----------------------------------------------------
 
     def dagger(self) -> "PauliSum":
-        return PauliSum(self.n, {w: c.conjugate() for w, c in self.terms.items()})
+        return PauliSum._from_keys(self.n, self.word_keys, self.coeffs.conj())
+
+    def _signs(self) -> np.ndarray:
+        """Each term's transposition sign, (-1)^(Y letters), as a complex;
+        a Y has its z bit set and its x ^ z bit clear."""
+        keys = self.word_keys
+        ys = np.bitwise_count((keys >> 1) & ~keys & _LOW_BITS).sum(axis=1)
+        return _I4_ARRAY[2 * (ys & 1)]
 
     def transpose(self) -> "PauliSum":
-        return PauliSum(
-            self.n, {w: c * w.transpose_sign for w, c in self.terms.items()}
-        )
+        return PauliSum._from_keys(self.n, self.word_keys,
+                                   _times(self.coeffs, self._signs()))
 
     def conj(self) -> "PauliSum":
-        return PauliSum(
-            self.n,
-            {w: c.conjugate() * w.transpose_sign for w, c in self.terms.items()},
-        )
+        return PauliSum._from_keys(self.n, self.word_keys,
+                                   _times(self.coeffs.conj(), self._signs()))
 
     def tensor(self, other: "PauliSum") -> "PauliSum":
-        terms: dict[PauliString, complex] = {}
-        for wa, ca in self.terms.items():
-            for wb, cb in other.terms.items():
-                terms[wa.tensor(wb)] = ca * cb
-        return PauliSum(self.n + other.n, terms)
+        """self (x) other, self's word major."""
+        n = self.n + other.n
+        bits = np.empty((len(self), len(other), n, 2), dtype=np.uint8)
+        bits[:, :, :self.n] = _key_bits(self.word_keys, self.n)[:, None]
+        bits[:, :, self.n:] = _key_bits(other.word_keys, other.n)
+        keys = _pack_bits(bits.reshape(len(self) * len(other), n, 2))
+        coeffs = _times(self.coeffs[:, None], other.coeffs).ravel()
+        return PauliSum._from_keys(n, keys, coeffs)
+
+    def swap_halves(self) -> "PauliSum":
+        """Each word P (x) Q of a doubled register as Q (x) P, coefficients
+        kept."""
+        if self.n % 2:
+            raise DimensionError("doubled-register sum must have even qubit count")
+        bits = np.roll(_key_bits(self.word_keys, self.n), self.n // 2, axis=1)
+        return PauliSum._from_keys(self.n, _pack_bits(bits), self.coeffs)
 
     # -- queries ---------------------------------------------------------
 
@@ -322,23 +390,23 @@ class PauliSum:
         return self.hermiticity_defect() <= PAULI_HERMITICITY_TOL
 
     def hermiticity_defect(self) -> float:
-        return max((abs(c.imag) for c in self.terms.values()), default=0.0)
+        return float(np.abs(self.coeffs.imag).max(initial=0.0))
 
     def frobenius_norm_sq(self) -> float:
         """||.||_F^2 = 2^n * sum |c|^2 (Pauli words are F-orthogonal)."""
-        return (2 ** self.n) * sum(abs(c) ** 2 for c in self.terms.values())
+        return (2 ** self.n) * sum(abs(c) ** 2 for c in self.coeffs.tolist())
 
     def max_coeff_diff(self, other: "PauliSum") -> float:
         if self.n != other.n:
             raise DimensionError("qubit counts differ in comparison")
-        keys, coeffs = letter_keys([self, other], self.n)
+        keys = np.concatenate([self.word_keys, other.word_keys])
         ids, distinct, _ = word_ids(keys)
         m = len(self)
         # each word's coefficient in both sums, 0.0 where a sum lacks it
         mine = np.zeros(len(distinct), dtype=complex)
         theirs = np.zeros(len(distinct), dtype=complex)
-        mine[ids[:m]] = coeffs[:m]
-        theirs[ids[m:]] = coeffs[m:]
+        mine[ids[:m]] = self.coeffs
+        theirs[ids[m:]] = other.coeffs
         diff = mine - theirs
         # np.hypot rounds as abs() of a Python complex does; np.abs does not
         return float(np.hypot(diff.real, diff.imag).max(initial=0.0))
@@ -347,11 +415,11 @@ class PauliSum:
         return to_matrix(self)
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not len(self):
             return f"PauliSum(0 on {self.n} qubits)"
         parts = [f"({c:.6g})*{w.letters}" for w, c in self.sorted_terms()[:6]]
-        if len(self.terms) > 6:
-            parts.append(f"... [{len(self.terms)} terms]")
+        if len(self) > 6:
+            parts.append(f"... [{len(self)} terms]")
         return "PauliSum(" + " + ".join(parts) + ")"
 
 
@@ -360,21 +428,19 @@ def to_matrix(s: PauliSum) -> np.ndarray:
 
     Each word is a signed permutation: it sends column c to row c ^ X
     with value coeff * i^y * (-1)^popcount(Z & c), where X and Z are its
-    masks bit-reversed into index order and y is its number of Y letters.
-    The entries are scattered word by word in blocks, so every matrix
-    entry sums its words in term order, as adding the words' Kronecker
-    products one after another would.
+    masks in index order and y is its number of Y letters.  The entries
+    are scattered word by word in blocks, so every matrix entry sums its
+    words in term order, as adding the words' Kronecker products one
+    after another would.
     """
     n = s.n
     check_dense(n)
     dim = 2 ** n
-    x, z, c = s._word_arrays()
-    c = c * _I4_ARRAY[np.bitwise_count(x & z) & 3]
-    # bit k of a mask is qubit k, which is bit n-1-k of a matrix index
-    bits = np.arange(n, dtype=np.int64)
-    flip = ((x[:, None] >> bits) & 1) << (n - 1 - bits)
-    phase = ((z[:, None] >> bits) & 1) << (n - 1 - bits)
-    flip, phase = flip.sum(axis=1), phase.sum(axis=1)
+    # the masks in index order: qubit q is bit n-1-q
+    bits = _key_bits(s.word_keys, n)
+    place = 1 << np.arange(n - 1, -1, -1)
+    flip, phase = (bits[..., 0] ^ bits[..., 1]) @ place, bits[..., 0] @ place
+    c = s.coeffs * _I4_ARRAY[np.bitwise_count(flip & phase) & 3]
     cols = np.arange(dim, dtype=np.int64)
     out = np.zeros(dim * dim, dtype=complex)
     words = max(1, _PRODUCT_BLOCK // dim)
@@ -422,66 +488,10 @@ def pauli_decompose(m: np.ndarray) -> PauliSum:
     # significant, so shifted to the top of a limb it is the word's key
     # (n <= 32: no matrix is wider)
     keys = np.arange(t.size, dtype=np.uint64) << np.uint64(64 - 2 * n)
-    coeffs = t.ravel()
-    return PauliSum._from_keys(n, keys[:, None], coeffs.real, coeffs.imag)
+    return PauliSum._from_keys(n, keys[:, None], t.ravel())
 
 
-# -- letter keys and batched products ----------------------------------
-#
-# A key row holds qubit q in bits 63 - 2r and 62 - 2r of limb q // 32,
-# with r = q % 32: its z bit over its x ^ z bit, so that I, X, Y, Z read 0
-# to 3 and key rows sort as the letters do.  Both bits are xors of mask
-# bits, so the key of a product word is the xor of its factors' keys.
-# Keys move to and from the masks as bit planes (one uint8 per bit), so
-# any width costs the same few numpy passes.
-
-_KEY_QUBITS = 32                          # qubits per 64-bit key limb
-# Words per pass between masks and keys: keeps the bit planes (a byte
-# per bit) near 1 MB whatever the term count.
-_KEY_BLOCK = 1 << 12
-_LOW_BITS = np.uint64(0x5555555555555555)
-
-
-def _key_bits(keys: np.ndarray, n: int) -> np.ndarray:
-    """(rows, n, 2) uint8: each qubit's z bit and x ^ z bit."""
-    bits = np.unpackbits(keys.astype(">u8").view(np.uint8), axis=1, count=2 * n)
-    return bits.reshape(len(keys), n, 2)
-
-
-def letter_keys(sums, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The terms of n-qubit ``sums``, in order, as key rows and
-    coefficients.  Any width takes as many limbs as it needs, and at
-    least one."""
-    words = [w for s in sums for w in s.terms]
-    m = len(words)
-    coeffs = np.array([c for s in sums for c in s.terms.values()], dtype=complex)
-    limbs = max(1, -(-n // _KEY_QUBITS))
-    size = 8 * -(-limbs // 2)
-    keys = np.empty((m, limbs), dtype=np.uint64)
-    for lo in range(0, m, _KEY_BLOCK):
-        block = words[lo:lo + _KEY_BLOCK]
-        raw = b"".join(w.z.to_bytes(size, "little")
-                       + (w.x ^ w.z).to_bytes(size, "little") for w in block)
-        # bits[word, 0 or 1, qubit]: z, then x ^ z, zero past the last qubit
-        bits = np.unpackbits(
-            np.frombuffer(raw, np.uint8).reshape(len(block), 2, size),
-            axis=2, count=_KEY_QUBITS * limbs, bitorder="little")
-        bits = bits.transpose(0, 2, 1).reshape(len(block), 64 * limbs)
-        keys[lo:lo + len(block)] = np.packbits(bits, axis=1).view(">u8")
-    return keys, coeffs
-
-
-def key_letters(keys: np.ndarray, n: int) -> list[str]:
-    """The letters of each key row."""
-    bits = _key_bits(keys, n)
-    text = np.frombuffer(b"IXYZ", np.uint8)[2 * bits[..., 0] + bits[..., 1]]
-    text = text.tobytes().decode("ascii")
-    return [text[i * n:(i + 1) * n] for i in range(len(keys))]
-
-
-def _letter_order(keys: np.ndarray) -> np.ndarray:
-    """The key rows' indices in ascending (letter) order, stable."""
-    return np.lexsort(keys.T[::-1])
+# -- batched products --------------------------------------------------
 
 
 def _products(keys, left, right, a, b):
@@ -491,8 +501,7 @@ def _products(keys, left, right, a, b):
 
     Returns the product words' key rows and coefficients ca * cb * i^e,
     where i^e is ``PauliString.mul``'s phase.  Each rounds as Python's
-    complex product does: ca * cb is written out in real arithmetic, and
-    the phase is exact.
+    complex product does: ca * cb is ``_times``, and the phase is exact.
     """
     # per term, on the low bit of each letter: its x ^ z bit, z bit and x
     # bit (z and x carry other bits above, which anti masks off)
@@ -513,19 +522,13 @@ def _products(keys, left, right, a, b):
     expo = np.bitwise_count(anti)
     expo += np.bitwise_count(minus) << 1
     del zb, anti, minus
-    # (re, im) = ar * (br, bi) + ai * (-bi, br), which rounds as Python's
-    # ca * cb does; signed zeros may differ, and vanish when summed from
-    # +0.0
-    ca, cb = left[a], right[b][..., None]
-    coeff = ca.real[..., None] * cb.view(float)
-    coeff += ca.imag[..., None] * (cb * 1j).view(float)
-    coeff = coeff.view(complex)[..., 0]
+    coeff = _times(left[a], right[b])
     # summed in uint8, which wraps at 256 and so keeps the count mod 4
     coeff *= _I4_ARRAY[expo.sum(axis=-1, dtype=np.uint8) & 3]
     return keys[a] ^ keys[b], coeff
 
 
-def dagger_products(sums, left: np.ndarray, right: np.ndarray, n: int):
+def dagger_products(sums, left: np.ndarray, right: np.ndarray):
     """Every word product of sums[left[d]]^dag @ sums[right[d]], for each d.
 
     Returns, one entry per word product and unsummed, d, the product
@@ -534,7 +537,8 @@ def dagger_products(sums, left: np.ndarray, right: np.ndarray, n: int):
     takes them, and each product rounds as it does there.  The products
     are gathered ragged, one row each.
     """
-    keys, coeffs = letter_keys(sums, n)
+    keys = np.concatenate([s.word_keys for s in sums])
+    coeffs = np.concatenate([s.coeffs for s in sums])
     sizes = np.array([len(s) for s in sums], dtype=np.int64)
     offsets = np.cumsum(sizes) - sizes
     counts = sizes[left] * sizes[right]
@@ -554,7 +558,7 @@ def dagger_products(sums, left: np.ndarray, right: np.ndarray, n: int):
 def word_ids(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each key row's rank among the distinct rows, the distinct rows in
     ascending (letter) order, and the index of each one's first row."""
-    order = _letter_order(keys)
+    order = np.lexsort(keys.T[::-1])
     ranked = keys[order]
     new = np.empty(len(order), dtype=bool)
     new[:1] = True
@@ -569,14 +573,15 @@ def word_ids(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _first_sums(word: np.ndarray, coeff: np.ndarray):
     """The distinct key rows of ``word`` in order of first appearance, and
-    the real and imaginary parts of their summed coefficients, each sum
-    taken in row order from +0.0 (bincount adds in input order), as a
-    PauliSum sums a word's terms."""
+    their summed coefficients, each sum taken in row order from +0.0
+    (bincount adds in input order), as a PauliSum sums a word's terms."""
     ids, distinct, first = word_ids(word.reshape(-1, word.shape[-1]))
     appear = first.argsort()
     k, coeff = len(distinct), coeff.ravel()
-    return (distinct[appear], np.bincount(ids, coeff.real, k)[appear],
-            np.bincount(ids, coeff.imag, k)[appear])
+    summed = np.empty(k, dtype=complex)
+    summed.real = np.bincount(ids, coeff.real, k)[appear]
+    summed.imag = np.bincount(ids, coeff.imag, k)[appear]
+    return distinct[appear], summed
 
 
 def pruned_sums(major, minor, n_minor: int, re, im):
@@ -597,11 +602,10 @@ def pruned_sums(major, minor, n_minor: int, re, im):
 
 
 def format_pauli_sum(s: PauliSum) -> str:
-    keys, coeffs = letter_keys([s], s.n)
-    order = _letter_order(keys)
+    s = s.sorted()
     lines = [f"# {s.n} qubits, {len(s)} terms"]
-    lines += map("{!r} {!r} {}".format, coeffs.real[order].tolist(),
-                 coeffs.imag[order].tolist(), key_letters(keys[order], s.n))
+    lines += map("{!r} {!r} {}".format, s.coeffs.real.tolist(),
+                 s.coeffs.imag.tolist(), s.letters())
     return "\n".join(lines) + "\n"
 
 
@@ -621,13 +625,13 @@ def parse_pauli_sum(text: str) -> PauliSum:
             coeff = complex(float(re_s), float(im_s))
         except ValueError as exc:
             raise ValidationError(f"line {lineno}: bad coefficient") from exc
-        if not np.isfinite(coeff):
+        if not cmath.isfinite(coeff):
             raise ValidationError(f"line {lineno}: coefficient is not finite")
-        for letter in letters:
-            if letter not in LETTERS:
-                raise ValidationError(
-                    f"line {lineno}: letter {letter!r} is not one of I,X,Y,Z"
-                )
+        bad = letters.translate(_NOT_LETTERS)
+        if bad:
+            raise ValidationError(
+                f"line {lineno}: letter {bad[0]!r} is not one of I,X,Y,Z"
+            )
         entries.append((coeff, letters))
     if not entries:
         raise ValidationError("no terms found in Pauli sum text")

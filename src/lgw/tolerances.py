@@ -14,6 +14,13 @@ tolerances, and stay beside their code.
 # a zero matrix, a zero purity, an entry that elimination cancelled.
 ZERO_FLOOR = 1e-300
 
+# A generator entry smaller in magnitude than the least normal float is
+# zero: LAPACK's eig returns wrong eigenvectors for a block holding a
+# subnormal entry (a jump rate of 5e-324 gives V = I for
+# [[-1, 5e-324], [1, -5e-324]]), and such an entry lies far below the
+# generator's rounding floor.
+SUBNORMAL_FLOOR = 2.2250738585072014e-308
+
 # -- Pauli algebra --------------------------------------------------------
 
 # Every sum, product and decomposition drops coefficients below this:

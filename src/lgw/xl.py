@@ -36,7 +36,6 @@ from .pauli import (
     PauliSum,
     dagger_products,
     key_letters,
-    letter_keys,
     pruned_sums,
     word_ids,
 )
@@ -336,11 +335,10 @@ def build_mq_system(
     owner = np.array([*range(len(pairs)), *mixed], dtype=np.int64)
     left, right = np.array([*pairs, *(pairs[p][::-1] for p in mixed)],
                            dtype=np.int64).reshape(-1, 2).T
-    directed, keys, re, im = dagger_products(parts, left, right, target.n)
-    target_keys, target_coeffs = letter_keys([target], target.n)
-    word, word_keys, _ = word_ids(np.concatenate([keys, target_keys]))
+    directed, keys, re, im = dagger_products(parts, left, right)
+    word, word_keys, _ = word_ids(np.concatenate([keys, target.word_keys]))
     tgt = np.zeros(len(word_keys))
-    tgt[word[len(keys):]] = target_coeffs.real
+    tgt[word[len(keys):]] = target.coeffs.real
     # each directed product summed word by word in product order and
     # pruned, then each pair's two products added, L_j^dag L_k first, and
     # pruned again, as PauliSum.__matmul__ and __add__ do; the entries come

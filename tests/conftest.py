@@ -1,10 +1,12 @@
+import cmath
+
 import numpy as np
 import scipy.linalg
 from scipy.optimize import linear_sum_assignment
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from lgw.errors import DimensionError
+from lgw.errors import DimensionError, ValidationError
 from lgw.lindblad import (
     DensityMatrix,
     JumpChannel,
@@ -17,6 +19,7 @@ from lgw.lindblad import (
     verify_ldl_properties,
 )
 from lgw.pauli import PauliString, PauliSum, pauli_decompose, to_matrix
+from lgw.tolerances import COEFF_PRUNE_TOL, PAULI_HERMITICITY_TOL
 
 LETTERS = "IXYZ"
 
@@ -76,8 +79,9 @@ def trace_with_two_copies(q, rho):
 
 def dense_liouvillian(spec):
     """Oracle for ``build_liouvillian``: the full 4^n x 4^n generator from
-    Kronecker products, with the same expression, term order and zeroing
-    of a generator within rounding of the scale of its terms."""
+    Kronecker products, with the same expression, term order, zeroing of
+    subnormal entries and zeroing of a generator within rounding of the
+    scale of its terms."""
     dim = 2 ** spec.n
     eye = np.eye(dim, dtype=complex)
     h = to_matrix(spec.hamiltonian)
@@ -92,6 +96,7 @@ def dense_liouvillian(spec):
             - 0.5 * np.kron(eye, fdf.T)
         )
         scale += ch.rate * np.abs(fdf).max()
+    lmat[np.abs(lmat) < np.finfo(float).tiny] = 0.0
     if np.sqrt(np.vdot(lmat, lmat).real) <= dim * dim * np.finfo(float).eps * scale:
         lmat[:] = 0.0
     return lmat
@@ -146,11 +151,10 @@ def assert_factors_match_dense(liouv):
     block was factored (complex, real form, or as a partner's permuted
     conjugate), match one factorization of the full matrix: the
     eigenvalue multiset within 1e-12 * max|lambda| (by assignment) where
-    the spectrum is well conditioned, B V = V Lam (within 1e-12 * max|B|,
-    or what eig of the block alone achieves) and, where V is invertible,
-    V^-1 V = I on every block, the eigenvector condition of
-    the block-diagonal V, and the null-space projector.  Returns the
-    eigenvector condition."""
+    the spectrum is well conditioned, B V = V Lam within 1e-12 * max|B|
+    and, where V is invertible, V^-1 V = I on every block, the eigenvector
+    condition of the block-diagonal V, and the null-space projector.
+    Returns the eigenvector condition."""
     mat = liouv.matrix
     vals = liouv.eigenvalues
     vecs = scipy.linalg.block_diag(*[v for _, v in liouv.eig])
@@ -160,11 +164,7 @@ def assert_factors_match_dense(liouv):
     assert abs(got - cond) <= max(1e-10, 1e-14 * cond) * cond
     scale = max(np.abs(mat).max(), 1e-300)
     for blk, (lam, v) in zip(liouv.block_matrices, liouv.eig):
-        # no worse than LAPACK's eig of the block alone, which returns
-        # wrong vectors for a block with a subnormal entry (a rate 5e-324)
-        own_lam, own_v = np.linalg.eig(blk)
-        own = np.abs(blk @ own_v - own_v * own_lam).max()
-        assert np.abs(blk @ v - v * lam).max() <= max(1e-12 * scale, own)
+        assert np.abs(blk @ v - v * lam).max() <= 1e-12 * scale
     if cond < 1e8:
         dense = np.linalg.eigvals(mat)
         dist = np.abs(vals[:, None] - dense[None, :])
@@ -227,6 +227,169 @@ def matmul_by_pairs(a, b):
             phase, word = wa.mul(wb)
             terms[word] = terms.get(word, 0.0) + ca * cb * phase
     return PauliSum(a.n, terms)
+
+
+class DictPauliSum:
+    """The dict-backed Pauli sum that the array-backed ``PauliSum``
+    replaced, kept whole as the oracle of every ``PauliSum`` operation:
+    ``terms`` maps each ``PauliString`` to its complex coefficient, in
+    order of first appearance, and every operation is the word-by-word
+    Python arithmetic the old class did."""
+
+    def __init__(self, n, terms=None):
+        self.n = n
+        pruned = {}
+        for word, coeff in (terms or {}).items():
+            if word.n != n:
+                raise DimensionError(f"term on {word.n} qubits in a {n}-qubit sum")
+            c = complex(coeff)
+            if abs(c) >= COEFF_PRUNE_TOL:
+                pruned[word] = c
+        self.terms = pruned
+
+    @classmethod
+    def from_letter_terms(cls, entries):
+        entries = list(entries)
+        if not entries:
+            raise ValidationError("need at least one (coeff, letters) entry")
+        n = len(entries[0][1])
+        terms = {}
+        for coeff, letters in entries:
+            word = PauliString.from_letters(letters)
+            if word.n != n:
+                raise DimensionError("mixed word lengths in term list")
+            terms[word] = terms.get(word, 0.0) + complex(coeff)
+        if not all(map(cmath.isfinite, terms.values())):
+            raise ValidationError("Pauli coefficients must be finite")
+        return cls(n, terms)
+
+    def __len__(self):
+        return len(self.terms)
+
+    def __iter__(self):
+        return iter(self.terms.items())
+
+    def sorted_terms(self):
+        return sorted_by_letters(self)
+
+    def max_weight(self):
+        return max(((w.x | w.z).bit_count() for w in self.terms), default=0)
+
+    def __add__(self, other):
+        if self.n != other.n:
+            raise DimensionError("qubit counts differ in sum")
+        terms = dict(self.terms)
+        for word, coeff in other.terms.items():
+            terms[word] = terms.get(word, 0.0) + coeff
+        return DictPauliSum(self.n, terms)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return DictPauliSum(self.n, {w: -c for w, c in self.terms.items()})
+
+    def __mul__(self, scalar):
+        return DictPauliSum(self.n, {w: c * scalar for w, c in self.terms.items()})
+
+    __rmul__ = __mul__
+
+    def __matmul__(self, other):
+        return DictPauliSum(self.n, matmul_by_pairs(self, other).terms)
+
+    def dagger(self):
+        return DictPauliSum(self.n, {w: c.conjugate() for w, c in self.terms.items()})
+
+    def transpose(self):
+        return DictPauliSum(
+            self.n, {w: c * w.transpose_sign for w, c in self.terms.items()})
+
+    def conj(self):
+        return DictPauliSum(
+            self.n,
+            {w: c.conjugate() * w.transpose_sign for w, c in self.terms.items()})
+
+    def tensor(self, other):
+        terms = {}
+        for wa, ca in self.terms.items():
+            for wb, cb in other.terms.items():
+                terms[wa.tensor(wb)] = ca * cb
+        return DictPauliSum(self.n + other.n, terms)
+
+    def is_hermitian(self):
+        return self.hermiticity_defect() <= PAULI_HERMITICITY_TOL
+
+    def hermiticity_defect(self):
+        return max((abs(c.imag) for c in self.terms.values()), default=0.0)
+
+    def frobenius_norm_sq(self):
+        return (2 ** self.n) * sum(abs(c) ** 2 for c in self.terms.values())
+
+    def max_coeff_diff(self, other):
+        if self.n != other.n:
+            raise DimensionError("qubit counts differ in comparison")
+        return max((abs(self.terms.get(w, 0.0) - other.terms.get(w, 0.0))
+                    for w in {**self.terms, **other.terms}), default=0.0)
+
+    def __repr__(self):
+        if not self.terms:
+            return f"PauliSum(0 on {self.n} qubits)"
+        parts = [f"({c:.6g})*{w.letters}" for w, c in self.sorted_terms()[:6]]
+        if len(self.terms) > 6:
+            parts.append(f"... [{len(self.terms)} terms]")
+        return "PauliSum(" + " + ".join(parts) + ")"
+
+
+def parse_by_words(text):
+    """``parse_pauli_sum`` line by line and letter by letter, into a
+    ``DictPauliSum``: the oracle of the text reader."""
+    entries = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 3:
+            raise ValidationError(
+                f"line {lineno}: expected '<re> <im> <letters>', got {raw!r}")
+        re_s, im_s, letters = parts
+        try:
+            coeff = complex(float(re_s), float(im_s))
+        except ValueError as exc:
+            raise ValidationError(f"line {lineno}: bad coefficient") from exc
+        if not np.isfinite(coeff):
+            raise ValidationError(f"line {lineno}: coefficient is not finite")
+        for letter in letters:
+            if letter not in LETTERS:
+                raise ValidationError(
+                    f"line {lineno}: letter {letter!r} is not one of I,X,Y,Z")
+        entries.append((coeff, letters))
+    if not entries:
+        raise ValidationError("no terms found in Pauli sum text")
+    lengths = {len(letters) for _, letters in entries}
+    if len(lengths) != 1:
+        raise ValidationError(f"inconsistent word lengths {sorted(lengths)}")
+    return DictPauliSum.from_letter_terms(entries)
+
+
+def exchange_symmetry_defect_by_words(doubled):
+    """``lindblad.exchange_symmetry_defect`` word by word on X/Z masks:
+    each word against its half-swapped partner's conjugate, times its
+    transposition sign."""
+    if doubled.n % 2:
+        raise DimensionError("doubled-register sum must have even qubit count")
+    half = doubled.n // 2
+    low = (1 << half) - 1
+    coeffs = {(w.x, w.z): c for w, c in doubled}
+    defect = 0.0
+    for (x, z), c in coeffs.items():
+        partner = coeffs.get(
+            ((x >> half) | ((x & low) << half), (z >> half) | ((z & low) << half)),
+            0.0,
+        )
+        sign = -1 if (x & z).bit_count() & 1 else 1
+        defect = max(defect, abs(c - partner.conjugate() * sign))
+    return defect
 
 
 def sorted_by_letters(s):

@@ -436,6 +436,20 @@ def test_random_spec_blocks_equal_the_dense_oracle():
     assert_matches_dense(LmeSpec(2, PauliSum.zero(2), ()))
 
 
+def test_subnormal_generator_entries_are_zero():
+    # a jump at rate 5e-324 puts subnormal entries in blocks
+    # [[-1, 5e-324], [1, -5e-324]], for which LAPACK's eig returns V = I
+    spec, _ = lme_from_json_dict({
+        "n": 2, "hamiltonian": [],
+        "jumps": [{"rate": 1.0, "op": [[0.5, 0.0, "IX"], [0.0, -0.5, "IY"]]},
+                  {"rate": 5e-324, "op": [[0.5, 0.0, "IX"], [0.0, 0.5, "IY"]]}]})
+    liouv = assert_matches_dense(spec)
+    for blk, (lam, v) in zip(liouv.block_matrices, liouv.eig):
+        assert (np.abs(blk[blk != 0]) >= np.finfo(float).tiny).all()
+        assert np.abs(blk @ v - v * lam).max() <= 1e-12 * np.abs(blk).max()
+    assert_factors_match_dense(liouv)
+
+
 def test_cancelling_terms_split_a_pattern_block():
     # each of the jumps X and Y links |0><1| and |1><0| through F(x)F*,
     # with entries +1 and -1 that cancel at equal rates, so the summed

@@ -426,7 +426,7 @@ def test_shot_allocation_remainders_favor_large_weights():
     plan = MeasurementPlan.build(a, 10, 10, seed=0)
     shots = plan.shots_per_term()
     assert sum(shots) == 10
-    by_weight = {w.letters: s for w, s in zip(plan.words, shots)}
+    by_weight = dict(zip(plan.terms.letters(), shots))
     assert by_weight["ZZ"] == max(shots)
 
 

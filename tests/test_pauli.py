@@ -18,7 +18,6 @@ from lgw.pauli import (
     dagger_products,
     format_pauli_sum,
     key_letters,
-    letter_keys,
     parse_pauli_sum,
     pauli_decompose,
     to_matrix,
@@ -36,7 +35,7 @@ def test_mul_xy_is_iz():
 
 def test_mul_identity_case():
     p = PauliString.from_letters("XYZI")
-    phase, word = PauliString.identity(4).mul(p)
+    phase, word = PauliString(4).mul(p)
     assert phase == 1 and word == p
 
 
@@ -359,16 +358,22 @@ def test_text_format_rejects_bad_letters():
 def test_letter_keys_sort_as_letters_and_multiply_by_xor(n):
     # widths on both sides of the 32-qubit key limb and the 64-bit mask
     rng = np.random.default_rng(300 + n)
-    sums = [rand_pauli_sum(n, rng, terms=4) for _ in range(3)]
-    keys, coeffs = letter_keys(sums, n)
-    words = [w for s in sums for w in s.terms]
+    dicts = [{rand_word(n, rng): complex(rng.normal(), rng.normal())
+              for _ in range(4)} for _ in range(3)]
+    sums = [PauliSum(n, terms) for terms in dicts]
+    keys = np.concatenate([s.word_keys for s in sums])
+    words = [w for terms in dicts for w in terms]
+    # the dict constructor keeps term order, and the PauliString view
+    # gives back the words it was given
     assert key_letters(keys, n) == [w.letters for w in words]
-    assert coeffs.tolist() == [c for s in sums for c in s.terms.values()]
+    assert [w for s in sums for w, _ in s] == words
+    assert [c for s in sums for c in s.coeffs.tolist()] == [
+        c for terms in dicts for c in terms.values()]
     order = np.lexsort(keys.T[::-1])
     assert [words[i].letters for i in order] == sorted(w.letters for w in words)
     # one product per word pair, dagger word major, each as PauliString.mul
     left, right = np.array([0, 2, 1]), np.array([1, 2, 0])
-    product, word, re, im = dagger_products(sums, left, right, n)
+    product, word, re, im = dagger_products(sums, left, right)
     expect = []
     for d, (j, k) in enumerate(zip(left, right)):
         for wa, ca in sums[j].dagger():

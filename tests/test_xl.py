@@ -217,13 +217,14 @@ def build_mq_system_by_pairs(ansatz, target, include_ground_energy=True):
             polys.setdefault(word, {})[(j, k)] = coeff
 
     equations = []
-    for word in sorted(set(polys) | set(target.terms), key=lambda w: w.letters):
+    target_terms = target.terms
+    for word in sorted(set(polys) | set(target_terms), key=lambda w: w.letters):
         if not include_ground_energy and word.x == 0 and word.z == 0:
             continue
         poly = polys.get(word, {})
         assert max((abs(c.imag) for c in poly.values()), default=0.0) <= EXPANSION_IMAG_TOL
         eq = {m: c.real for m, c in poly.items()}
-        tgt = target.terms.get(word, 0.0).real
+        tgt = target_terms.get(word, 0.0).real
         if tgt:
             eq[()] = -tgt
         eq = {m: c for m, c in eq.items() if abs(c) >= COEFF_PRUNE_TOL}
