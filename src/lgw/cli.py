@@ -286,18 +286,21 @@ def cmd_verify(args) -> int:
     spectral = lindblad.spectral_diagnostics(liouv, mixing_probes=3, seed=args.seed)
 
     # each brute-force entry against its own matrix, against the closed-form
-    # substitute, and against the word read that the estimator uses
+    # substitute, and against the word read of the gather every read uses
     table_ok = True
     rho1 = lindblad.random_density_matrix(1, np.random.default_rng(args.seed))
     two_copies = np.kron(rho1.matrix, rho1.matrix)
-    for letters, entry in measure.build_table().items():
+    table = measure.build_table()
+    reads = measure.word_reads(PauliSum.from_letter_terms(
+        [(1.0, letters) for letters in table]), rho1)
+    for (letters, entry), read in zip(table.items(), reads.tolist()):
         word = PauliString.from_letters(letters)
         table_ok &= bool(
             np.abs(entry.b.to_matrix() - entry.matrix).max() <= SUBSTITUTE_TABLE_TOL
             and (measure.substitute_pauli(word).max_coeff_diff(entry.b)
                  <= SUBSTITUTE_TABLE_TOL)
-            and abs(measure._word_read(word, rho1)
-                    - np.trace(entry.matrix @ two_copies)) <= SUBSTITUTE_TABLE_TOL
+            and abs(read - np.trace(entry.matrix @ two_copies))
+            <= SUBSTITUTE_TABLE_TOL
         )
 
     rng = np.random.default_rng(args.seed)

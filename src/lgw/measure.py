@@ -8,13 +8,18 @@ operator B, obtained by a pure index permutation, such that
 A Pauli word A = P (x) Q has the unitary substitute s A SWAP, with SWAP
 exchanging the two copies and s = (-1)^(Y letters of Q), so the numerator
 is a weighted sum of Hadamard-test expectations and the denominator is a
-Swap-test expectation.  The sampled estimator reads each term c A at word
-level, as c Tr(P rho Q^T rho), and never forms its substitute.  The
-closed-form substitutes, with the 16-entry two-qubit table generated by
-brute force from the index rule as their oracle, are ``lgw verify``'s
-check of that word read and the tests' oracle.  The module also provides
-exact evaluation, shot-level sampling of both tests, and the ratio
-estimator with its bias/variance/MSE accounting.
+Swap-test expectation.
+
+Every read goes through one gather, ``word_reads``: each word is a
+signed permutation, so its read Tr(P rho Q^T rho) = <vec rho^T|A|vec rho>
+is a dot product of one gathered row of vec rho^T * vec rho with one
++-1 row, and no observable matrix or substitute is formed.  Exact
+evaluation, the sampled estimator and ``hadamard_sample`` all read
+through it.  The closed-form substitutes, with the 16-entry two-qubit
+table generated by brute force from the index rule as their oracle, are
+``lgw verify``'s check of that gather and the tests' oracle.  The module
+also provides shot-level sampling of both tests and the ratio estimator
+with its bias/variance/MSE accounting.
 """
 
 from __future__ import annotations
@@ -33,7 +38,16 @@ from .errors import (
     WorkbenchError,
 )
 from .lindblad import DensityMatrix
-from .pauli import LETTERS, PauliString, PauliSum, pauli_decompose, to_matrix
+from .pauli import (
+    _PRODUCT_BLOCK,
+    LETTERS,
+    PauliString,
+    PauliSum,
+    _signed_permutations,
+    check_dense,
+    pauli_decompose,
+    to_matrix,
+)
 from .tolerances import (
     NUMERATOR_IMAG_RTOL,
     PAULI_HERMITICITY_TOL,
@@ -142,11 +156,66 @@ def substitute(a: PauliSum) -> PauliSum:
     return out
 
 
+# -- word reads ---------------------------------------------------------------
+
+
+def _signs(phase: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """(-1)^popcount(phase & cols) as floats, broadcast."""
+    # bitwise_count gives uint8, in which 1 - 2 * odd would wrap to 255
+    return 1.0 - 2.0 * (np.bitwise_count(phase & cols) & 1)
+
+
+def word_reads(a: PauliSum, rho: DensityMatrix) -> np.ndarray:
+    """Tr(P rho Q^T rho) of each word A = P (x) Q of a doubled-register
+    sum, in term order and without its coefficient.
+
+    With vec rho row-major, the read is <vec rho^T|A|vec rho>: for the
+    word's signed permutation (flip, phase, i^y) it is
+    sum_c rho^T[c ^ flip] (-1)^popcount(phase & c) i^y rho[c].  The bra
+    takes rho^T rather than conj(rho), so a rho that is Hermitian only to
+    rounding reads as the dense sum of A[ij,kl] rho[j,i] rho[k,l] does.
+
+    Words are taken in blocks of flip order of about ``_PRODUCT_BLOCK``
+    entries, and a block gathers one row rho^T[f ^ c] rho[c] per distinct
+    flip.  The +-1 row of a phase is the outer product of two rows of the
+    n-qubit sign table, one for each half of the phase, so each word's
+    read is its flip row, as a 2^n x 2^n matrix, between those two rows:
+    two batched matrix products in real arithmetic.
+    """
+    if a.n != 2 * rho.n:
+        raise DimensionError("operator does not match two copies of rho")
+    n, dim = rho.n, 2 ** rho.n
+    flip, phase, i_y = _signed_permutations(a.word_keys, a.n)
+    ket = rho.matrix.ravel()
+    bra = rho.matrix.T.ravel()
+    cols = np.arange(dim * dim)
+    half = np.arange(dim)
+    table = _signs(half[:, None], half)
+    # flips ranked densely, so a block of flip order holds every rank
+    # between its first and its last
+    flips, rank = np.unique(flip, return_inverse=True)
+    order = np.argsort(rank, kind="stable")
+    reads = np.empty((len(flip), 1, 2))
+    words = max(1, _PRODUCT_BLOCK // dim ** 2)
+    for lo in range(0, len(order), words):
+        at = order[lo:lo + words]
+        first, last = rank[at[0]], rank[at[-1]]
+        rows = bra[flips[first:last + 1, None] ^ cols] * ket
+        # each entry as two reals, (rows, row half, column half and re/im)
+        rows = rows.view(float).reshape(-1, dim, 2 * dim)[rank[at] - first]
+        by_row = np.matmul(table[phase[at] >> n, None], rows)
+        reads[at] = np.matmul(table[phase[at] & (dim - 1), None],
+                              by_row.reshape(-1, dim, 2))
+    return reads.view(complex).ravel() * i_y
+
+
 # -- exact evaluation ---------------------------------------------------------
 
 
 def exact_expectation(a: PauliSum, rho: DensityMatrix) -> float:
-    """<rho|A|rho> evaluated densely as Tr(B rho(x)rho) / Tr(rho^2)."""
+    """<rho|A|rho> = sum_w c_w Tr(P_w rho Q_w^T rho) / Tr(rho^2), each
+    word read by ``word_reads``; refused, as a dense realization would
+    be, above ``DENSE_QUBIT_CAP`` doubled qubits."""
     if a.n != 2 * rho.n:
         raise DimensionError(
             f"observable on {a.n} qubits does not match rho on {rho.n}"
@@ -156,9 +225,8 @@ def exact_expectation(a: PauliSum, rho: DensityMatrix) -> float:
             "observable must be Hermitian (non-Hermitian extensions are out "
             "of scope here)"
         )
-    dim = 2 ** rho.n
-    a4 = to_matrix(a).reshape(dim, dim, dim, dim)
-    num = np.einsum("ijkl,ji,kl->", a4, rho.matrix, rho.matrix)
+    check_dense(a.n)
+    num = complex(np.dot(a.coeffs, word_reads(a, rho)))
     if abs(num.imag) > NUMERATOR_IMAG_RTOL * max(1.0, abs(num.real)):
         raise WorkbenchError(
             f"numerator imaginary residue {num.imag:.3e} exceeds tolerance"
@@ -174,22 +242,28 @@ def bell_amplitude(rho: DensityMatrix, p: PauliString) -> complex:
     indexed Bell vector: Tr(P rho) / (2^{n/2} sqrt(Tr rho^2))."""
     if p.n != rho.n:
         raise DimensionError("Pauli word and rho qubit counts differ")
-    tr = np.einsum("ij,ji->", p.to_matrix(), rho.matrix)
+    # Tr(P rho) = sum_c i^y (-1)^popcount(phase & c) rho[c, c ^ flip]
+    (flip,), (phase,), (i_y,) = _signed_permutations(
+        PauliSum.from_term(p).word_keys, p.n)
+    cols = np.arange(2 ** rho.n)
+    tr = i_y * np.dot(_signs(phase, cols), rho.matrix[cols, cols ^ flip])
     return complex(tr / (2 ** (rho.n / 2) * math.sqrt(rho.purity())))
 
 
 # -- shot-level sampling ------------------------------------------------------
 
 
-def _word_read(word: PauliString, rho: DensityMatrix) -> complex:
-    """Tr(P rho Q^T rho) for a doubled-register word A = P (x) Q: the
-    Hadamard-test numerator Tr(s A SWAP rho(x)rho) of its substitute,
-    without forming the substitute."""
-    if word.n != 2 * rho.n:
-        raise DimensionError("operator does not match two copies of rho")
-    p, q = word.halves()
-    r = rho.matrix
-    return complex(np.sum((p.to_matrix() @ r) * (q.to_matrix().T @ r).T))
+def _draw(x: float, shots: int, seed: int, stream: int) -> float:
+    """Mean of ``shots`` +-1 outcomes with P(+1) = (1 + x)/2, drawn on
+    stream (seed, stream); x is a Hadamard read and must lie in [-1, 1]
+    up to rounding."""
+    if abs(x) > 1.0 + READ_OVERSHOOT_TOL:
+        raise WorkbenchError(
+            f"|Re Tr(Q rho(x)rho)| = {abs(x):.12f} > 1: inconsistent inputs"
+        )
+    p = min(max((1.0 + x) / 2.0, 0.0), 1.0)
+    ones = _rng(seed, stream).binomial(shots, p)
+    return (2.0 * ones - shots) / shots
 
 
 def hadamard_sample(
@@ -198,8 +272,8 @@ def hadamard_sample(
     """Simulated Hadamard test of the substitute of one word c A.
 
     Draws ``shots`` +-1 outcomes with P(+1) = (1 + x)/2, where
-    x = Re(c Tr(P rho Q^T rho)) = Re Tr(c s A SWAP rho(x)rho) is computed
-    exactly at word level, and returns their mean.  The substitute
+    x = Re(c Tr(P rho Q^T rho)) = Re Tr(c s A SWAP rho(x)rho) is read by
+    ``word_reads``, and returns their mean.  The substitute
     c s A SWAP is unitary iff |c| = 1, so ``a`` must be a single word
     with unit-modulus coefficient.  Deterministic in (seed, stream).
     """
@@ -209,18 +283,12 @@ def hadamard_sample(
         raise ValidationError(
             f"a Hadamard read takes one word c*A, got {len(a)} terms"
         )
-    ((word, coeff),) = a
+    (coeff,) = a.coeffs.tolist()
     defect = abs(abs(coeff) ** 2 - 1.0)
     if defect > UNITARY_TOL:
         raise ValidationError(f"substitute is not unitary (defect {defect:.3e})")
-    x = (coeff * _word_read(word, rho)).real
-    if abs(x) > 1.0 + READ_OVERSHOOT_TOL:
-        raise WorkbenchError(
-            f"|Re Tr(Q rho(x)rho)| = {abs(x):.12f} > 1: inconsistent inputs"
-        )
-    p = min(max((1.0 + x) / 2.0, 0.0), 1.0)
-    ones = _rng(seed, stream).binomial(shots, p)
-    return (2.0 * ones - shots) / shots
+    (read,) = word_reads(a, rho).tolist()
+    return _draw((coeff * read).real, shots, seed, stream)
 
 
 def swap_sample(rho: DensityMatrix, shots: int, seed: int) -> float:
@@ -362,20 +430,21 @@ def estimate_expectation(
 ) -> EstimateReport:
     """Run the sampled ratio estimator for <rho|A|rho>.
 
-    Numerator terms are Hadamard-sampled on independent streams keyed by
-    (seed, term index); the purity is Swap-sampled once.  The report
-    carries the predicted bias/variance/MSE bounds for the supplied
-    purity floor.
+    Every term is read by one ``word_reads`` gather, then Hadamard-
+    sampled as ``hadamard_sample`` samples it, on independent streams
+    keyed by (seed, term index); the purity is Swap-sampled once.  The
+    report carries the predicted bias/variance/MSE bounds for the
+    supplied purity floor.
     """
     if not 0 < gamma_floor <= 1:
         raise ValidationError("purity floor must lie in (0, 1]")
     if plan.observable.n != 2 * rho.n:
         raise DimensionError("plan observable does not match two copies of rho")
     shots = plan.shots_per_term()
+    reads = word_reads(plan.terms, rho).real.tolist()
     numerator = 0.0
     for i, g in enumerate(plan.weights):
-        numerator += g * hadamard_sample(plan.terms.word_sum(i), rho, shots[i],
-                                         plan.seed, stream=i)
+        numerator += g * _draw(reads[i], shots[i], plan.seed, stream=i)
     purity_est = swap_sample(rho, plan.n_s, plan.seed)
     if purity_est <= 0:
         raise IllConditionedRatioError(

@@ -291,10 +291,6 @@ class PauliSum:
         """The letters of each term's word, in term order."""
         return key_letters(self.word_keys, self.n)
 
-    def word_sum(self, i: int) -> "PauliSum":
-        """Term i's word alone, with coefficient 1."""
-        return PauliSum._from_keys(self.n, self.word_keys[i:i + 1], np.ones(1, complex))
-
     def sorted(self) -> "PauliSum":
         """The same sum with its terms in letter order."""
         order = np.lexsort(self.word_keys.T[::-1])
@@ -423,24 +419,34 @@ class PauliSum:
         return "PauliSum(" + " + ".join(parts) + ")"
 
 
+def _signed_permutations(keys: np.ndarray, n: int):
+    """Each word of the key rows as a signed permutation of basis states.
+
+    Word k sends column c to row c ^ flip[k] with value
+    i^y[k] * (-1)^popcount(phase[k] & c), where flip and phase are its X
+    and Z masks in index order (qubit q is bit n-1-q) and y[k] is its
+    number of Y letters.  Returns (flip, phase, i^y).
+    """
+    bits = _key_bits(keys, n)
+    place = 1 << np.arange(n - 1, -1, -1)
+    flip, phase = (bits[..., 0] ^ bits[..., 1]) @ place, bits[..., 0] @ place
+    return flip, phase, _I4_ARRAY[np.bitwise_count(flip & phase) & 3]
+
+
 def to_matrix(s: PauliSum) -> np.ndarray:
     """Dense complex matrix of a Pauli sum, qubit 0 most significant.
 
-    Each word is a signed permutation: it sends column c to row c ^ X
-    with value coeff * i^y * (-1)^popcount(Z & c), where X and Z are its
-    masks in index order and y is its number of Y letters.  The entries
-    are scattered word by word in blocks, so every matrix entry sums its
-    words in term order, as adding the words' Kronecker products one
-    after another would.
+    Each word is the signed permutation of ``_signed_permutations``: it
+    sends column c to row c ^ flip with value coeff * i^y *
+    (-1)^popcount(phase & c).  The entries are scattered word by word in
+    blocks, so every matrix entry sums its words in term order, as adding
+    the words' Kronecker products one after another would.
     """
     n = s.n
     check_dense(n)
     dim = 2 ** n
-    # the masks in index order: qubit q is bit n-1-q
-    bits = _key_bits(s.word_keys, n)
-    place = 1 << np.arange(n - 1, -1, -1)
-    flip, phase = (bits[..., 0] ^ bits[..., 1]) @ place, bits[..., 0] @ place
-    c = s.coeffs * _I4_ARRAY[np.bitwise_count(flip & phase) & 3]
+    flip, phase, i_y = _signed_permutations(s.word_keys, n)
+    c = s.coeffs * i_y
     cols = np.arange(dim, dtype=np.int64)
     out = np.zeros(dim * dim, dtype=complex)
     words = max(1, _PRODUCT_BLOCK // dim)

@@ -77,6 +77,17 @@ def trace_with_two_copies(q, rho):
     return total
 
 
+def word_read_by_kron(word, rho):
+    """Oracle for ``measure.word_reads``: Tr(P rho Q^T rho) of one
+    doubled-register word A = P (x) Q, from the Kronecker matrices of its
+    halves."""
+    if word.n != 2 * rho.n:
+        raise DimensionError("operator does not match two copies of rho")
+    p, q = word.halves()
+    r = rho.matrix
+    return complex(np.sum((p.to_matrix() @ r) * (q.to_matrix().T @ r).T))
+
+
 def dense_liouvillian(spec):
     """Oracle for ``build_liouvillian``: the full 4^n x 4^n generator from
     Kronecker products, with the same expression, term order, zeroing of

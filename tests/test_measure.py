@@ -1,18 +1,22 @@
 import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import (
     maximally_mixed,
+    rand_pauli_sum,
     rand_rho,
     rand_word,
     sigma_minus_spec,
     trace_with_two_copies,
+    word_read_by_kron,
 )
-from lgw import measure
+from lgw import cli, measure, pauli
 from lgw.errors import (
+    CapacityError,
     DegenerateObservableError,
     DimensionError,
     IllConditionedRatioError,
@@ -329,18 +333,121 @@ def test_hadamard_unitarity_gate():
 
 
 def test_word_read_matches_substitute_oracle():
-    # on seeded words of 1-4 qubit registers, the word read agrees with the
-    # traced substitute, and the seeded Hadamard outcomes are identical
+    # on seeded words of 1-4 qubit registers, the gathered word read agrees
+    # with the traced substitute, and the seeded Hadamard outcomes are
+    # identical
     rng = np.random.default_rng(74)
     for i in range(320):
         n = 1 + i % 4
         rho = rand_rho(n, rng)
         word = rand_word(2 * n, rng)
         oracle = trace_with_two_copies(substitute_pauli(word), rho)
-        assert abs(measure._word_read(word, rho) - oracle) <= 1e-15, word
+        (read,) = measure.word_reads(PauliSum.from_term(word), rho)
+        assert abs(read - oracle) <= 1e-15, word
         p = min(max((1.0 + oracle.real) / 2.0, 0.0), 1.0)
         want = (2.0 * measure._rng(i, 7).binomial(100, p) - 100) / 100
         assert hadamard_sample(PauliSum.from_term(word), rho, 100, i, 7) == want
+
+
+def _gather_sums(n, rng):
+    """Doubled-register sums on 2n qubits for the gather oracle: random
+    words with complex weights, words that share flips and phases, one
+    word, and for n <= 2 the dense expansion of a random matrix."""
+    base = list(rand_word(2 * n, rng).letters)
+    shared = []
+    # every letter on the first and the last qubit: 4 flips x 4 phases
+    for first, last in itertools.product("IXYZ", repeat=2):
+        base[0], base[-1] = first, last
+        shared.append((rng.normal() + 1j * rng.normal(), "".join(base)))
+    sums = [
+        rand_pauli_sum(2 * n, rng, terms=40),
+        PauliSum.from_letter_terms(shared),
+        PauliSum.from_letter_terms([(1.0, "Y" * 2 * n)]),
+    ]
+    if n <= 2:
+        dim = 4 ** n
+        sums.append(pauli_decompose(
+            rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))))
+    return sums
+
+
+def test_word_reads_match_the_kronecker_oracle():
+    # each word's gathered read against Tr(P rho Q^T rho) from Kronecker
+    # matrices, on a state and on a general complex matrix: only the
+    # latter tells the gather's rho^T bra from conj(rho)
+    rng = np.random.default_rng(76)
+    for n in range(1, 6):
+        dim = 2 ** n
+        general = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        for rho in (rand_rho(n, rng), DensityMatrix(n, general, validate=False)):
+            scale = np.vdot(rho.matrix, rho.matrix).real
+            for a in _gather_sums(n, rng):
+                reads = measure.word_reads(a, rho)
+                assert reads.shape == (len(a),)
+                for (word, _), read in zip(a, reads.tolist()):
+                    oracle = word_read_by_kron(word, rho)
+                    assert abs(read - oracle) <= 1e-15 * scale, (n, word)
+
+
+def test_exact_expectation_matches_the_dense_contraction():
+    # the gathered sum against the observable's dense matrix contracted
+    # with two copies of rho
+    rng = np.random.default_rng(77)
+    for n in range(1, 5):
+        dim = 2 ** n
+        rho = rand_rho(n, rng)
+        general = rng.normal(size=(dim ** 2, dim ** 2)) + 1j * rng.normal(
+            size=(dim ** 2, dim ** 2))
+        for a in (rand_pauli_sum(2 * n, rng, terms=40), pauli_decompose(general)):
+            a = a + a.dagger()
+            a4 = to_matrix(a).reshape(dim, dim, dim, dim)
+            num = np.einsum("ijkl,ji,kl->", a4, rho.matrix, rho.matrix)
+            want = num.real / rho.purity()
+            got = exact_expectation(a, rho)
+            assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), n
+
+
+def test_exact_expectation_at_the_cap_stays_small():
+    # one word on 12 doubled qubits reads without a 4096 x 4096 matrix;
+    # 14 doubled qubits are refused, with the command line's exit code
+    rng = np.random.default_rng(78)
+    rho = rand_rho(6, rng)
+    a = PauliSum.from_letter_terms([(1.0, "XYZIXYZZYXIX")])
+    want = word_read_by_kron(PauliString.from_letters("XYZIXYZZYXIX"), rho)
+    tracemalloc.start()
+    try:
+        got = exact_expectation(a, rho)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1 << 20
+    assert abs(got - want.real / rho.purity()) <= 1e-13
+    wide = DensityMatrix(7, np.eye(128) / 128)
+    with pytest.raises(CapacityError, match="14 qubits") as err:
+        exact_expectation(PauliSum.from_letter_terms([(1.0, "Z" * 14)]), wide)
+    assert cli._exit_code(err.value) == cli.EXIT_FAILURE
+
+
+def test_reads_build_no_dense_observable(monkeypatch):
+    rng = np.random.default_rng(79)
+    rho = rand_rho(2, rng)
+    a = PauliSum.from_letter_terms([(1.0, "ZIZI"), (0.5, "XYII")])
+    one = PauliSum.from_letter_terms([(1j, "XYZI")])
+    plan = MeasurementPlan.build(PauliSum.from_letter_terms([(-1.0, "XYZI")]),
+                                 100, 100, seed=4)
+    p = PauliString.from_letters("YX")
+    want = (exact_expectation(a, rho), hadamard_sample(one, rho, 100, 5),
+            estimate_expectation(plan, rho, 0.5), bell_amplitude(rho, p))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a read builds no dense observable")
+
+    monkeypatch.setattr(measure, "to_matrix", refuse)
+    monkeypatch.setattr(pauli, "to_matrix", refuse)
+    monkeypatch.setattr(PauliString, "to_matrix", refuse)
+    got = (exact_expectation(a, rho), hadamard_sample(one, rho, 100, 5),
+           estimate_expectation(plan, rho, 0.5), bell_amplitude(rho, p))
+    assert got == want
 
 
 def test_sampled_estimate_builds_no_substitute(monkeypatch):
