@@ -374,7 +374,7 @@ def cmd_measure(args) -> int:
     observable = _stage("load_observable", _load_observable, args.observable)
     liouv = _stage("build_liouvillian", lindblad.build_liouvillian, spec)
     # refuse a degenerate steady space before steady_state warns about it
-    steady_dim = liouv.null_basis.shape[1]
+    steady_dim = liouv.null_dim
     if steady_dim > 1:
         raise StageError(
             "steady_state",

@@ -115,12 +115,15 @@ class SuperOp:
     in complex form.
 
     ``forms``, ``eig``, ``eig_inverses``, ``eigvec_singular_values``,
-    ``singular_values``, ``null_basis`` and the full 4^n x 4^n ``matrix``
-    are computed on first use and cached, which relies on the blocks not
-    being modified after construction.  Null vectors come from a full SVD
-    of only the blocks whose smallest singular value is at or below the
-    cut.  Singular values up to ``rounding_floor``, the rounding residue of
-    the generator's terms, count as null.
+    ``singular_values``, ``null_dim``, ``null_basis`` and the full 4^n x
+    4^n ``matrix`` are computed on first use and cached, which relies on
+    the blocks not being modified after construction.  ``null_dim`` counts
+    the null space on the cached singular values alone; ``null_basis``
+    takes each block's count from the same values and its vectors from a
+    full SVD of only the blocks that hold some.  Singular values up to
+    ``rounding_floor``, the rounding residue of the generator's terms,
+    count as null.  ``build_liouvillian`` gathers a generator's blocks on
+    the edge pattern of its terms: entries off it are zero.
     """
 
     n: int
@@ -238,10 +241,12 @@ class SuperOp:
     @cached_property
     def eigvec_singular_values(self) -> tuple[np.ndarray, ...]:
         """Singular values of the eigenvector matrix of each block factored
-        on its own, by those of W in real form (T is unitary); a partner's
-        are its own block's."""
-        return tuple(np.linalg.svd(own[1], compute_uv=False)
-                     for own in self._own_eig if own is not None)
+        on its own, in real form by those of W (T is unitary) taken from
+        W's real basis; a partner's are its own block's."""
+        return tuple(np.linalg.svd(_real_basis(*own) if kind == "real" else own[1],
+                                   compute_uv=False)
+                     for (kind, _), own in zip(self.forms, self._own_eig)
+                     if own is not None)
 
     @cached_property
     def singular_values(self) -> tuple[np.ndarray, ...]:
@@ -265,6 +270,12 @@ class SuperOp:
         return vec
 
     @cached_property
+    def null_dim(self) -> int:
+        """Dimension of the right null space, counted on the cached
+        singular values by the rank rule of ``null_basis``."""
+        return sum(_null_counts(self.singular_values, self.rounding_floor))
+
+    @cached_property
     def null_basis(self) -> np.ndarray:
         """Orthonormal right null-space basis (columns)."""
         return _null_vectors(self.block_matrices, self.blocks,
@@ -280,6 +291,14 @@ def _real_form(mat: np.ndarray, fixed, first, second) -> np.ndarray:
                            1j * c * (mat[:, first] - mat[:, second])], axis=1)
     return np.concatenate([cols[fixed], c * (cols[first] + cols[second]),
                            -1j * c * (cols[first] - cols[second])])
+
+
+def _real_basis(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """The eigenvectors ``vecs`` of a real matrix, with each conjugate
+    pair (w, conj(w)) replaced by sqrt2 Re w and sqrt2 Im w (up to sign):
+    a unitary 2 x 2 mix of the pair, so the singular values stay."""
+    scale = np.where(vals.imag == 0, 1.0, np.sqrt(2.0))
+    return np.where(vals.imag < 0, vecs.imag, vecs.real) * scale
 
 
 def _from_real_form(w: np.ndarray, fixed, first, second) -> np.ndarray:
@@ -386,9 +405,10 @@ def build_liouvillian(spec: LmeSpec) -> SuperOp:
     L = -i(H(x)I - I(x)H^T) + sum_i rate_i (F(x)F* - (F^dag F)(x)I/2
     - I(x)(F^T F^*)/2); the vectorized identity is always a left null
     vector (trace preservation).  The blocks are first the components of
-    the union of the terms' patterns, each gathered entry by entry in the
-    order of the expression above, then split along the components of its
-    own nonzero pattern, which cancellation between terms can make finer;
+    the union of the terms' patterns, each entry on those patterns' edges
+    computed in the order of the expression above and every other entry
+    zero, then split along the components of its own nonzero pattern,
+    which cancellation between terms can make finer;
     so the blocks and their entries are those of the dense sum, and the
     4^n x 4^n matrix is never formed.  Entries below ``SUBNORMAL_FLOOR``
     in magnitude are zero, and a generator within rounding of the scale
@@ -405,8 +425,9 @@ def build_liouvillian(spec: LmeSpec) -> SuperOp:
         terms.append((ch.rate, f, fdf))
         scale += ch.rate * np.abs(fdf).max()
     floor = dim * dim * np.finfo(float).eps * scale
-    coarse = _edge_components(*_term_edges(h, terms), dim * dim)
-    mats = [_gather_block(idx, h, terms) for idx in coarse]
+    rows, cols = _term_edges(h, terms)
+    coarse = _edge_components(rows, cols, dim * dim)
+    mats = _gather_blocks(coarse, rows, cols, h, terms)
     for mat in mats:
         mat[np.abs(mat) < SUBNORMAL_FLOOR] = 0.0
     if np.sqrt(sum(np.vdot(mat, mat).real for mat in mats)) <= floor:
@@ -445,24 +466,40 @@ def _term_edges(h: np.ndarray, terms) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(rows), np.concatenate(cols)
 
 
-def _gather_block(idx: np.ndarray, h: np.ndarray, terms) -> np.ndarray:
-    """The generator's block on the vec indices ``idx``, each entry
-    computed by the same operations, in the same order, as the entry of
-    the Kronecker-product sum in ``build_liouvillian``'s docstring."""
-    # entry (a, b) sits at row (ket[a], bra[a]) and column (ket[b], bra[b])
-    ket, bra = np.divmod(idx, len(h))
-    ket_row, ket_col = np.ix_(ket, ket)
-    bra_row, bra_col = np.ix_(bra, bra)
+def _gather_blocks(coarse, rows: np.ndarray, cols: np.ndarray, h: np.ndarray,
+                   terms) -> list[np.ndarray]:
+    """The generator's blocks on the index sets ``coarse`` that the edges
+    ``rows[e] -- cols[e]`` connect, zero off the edges: each edge's entry
+    is computed by the same operations, in the same order, as the entry of
+    the Kronecker-product sum in ``build_liouvillian``'s docstring (an
+    edge listed twice writes the same value twice)."""
+    # an entry sits at row (ket, bra) and column (ket', bra')
+    ket_row, bra_row = np.divmod(rows, len(h))
+    ket_col, bra_col = np.divmod(cols, len(h))
     same_ket = ket_row == ket_col
     same_bra = bra_row == bra_col
-    mat = -1j * (h[ket_row, ket_col] * same_bra - same_ket * h.T[bra_row, bra_col])
+    vals = -1j * (h[ket_row, ket_col] * same_bra - same_ket * h.T[bra_row, bra_col])
     for rate, f, fdf in terms:
-        mat += rate * (
+        vals += rate * (
             f[ket_row, ket_col] * f.conj()[bra_row, bra_col]
             - 0.5 * (fdf[ket_row, ket_col] * same_bra)
             - 0.5 * (same_ket * fdf.T[bra_row, bra_col])
         )
-    return mat
+    label = np.empty(len(h) ** 2, dtype=np.intp)
+    local = np.empty(len(h) ** 2, dtype=np.intp)
+    for k, idx in enumerate(coarse):
+        label[idx] = k
+        local[idx] = np.arange(len(idx))
+    # the edges grouped by the block they fall in
+    block = label[rows]
+    order = np.argsort(block, kind="stable")
+    groups = np.split(order, np.searchsorted(block[order], np.arange(1, len(coarse))))
+    mats = []
+    for idx, own in zip(coarse, groups):
+        mat = np.zeros((len(idx), len(idx)), dtype=complex)
+        mat[local[rows[own]], local[cols[own]]] = vals[own]
+        mats.append(mat)
+    return mats
 
 
 def pauli_liouvillian(n: int, hamiltonian: PauliSum, jumps) -> PauliSum:
@@ -536,34 +573,34 @@ def build_ldl(spec: LmeSpec, liouv: SuperOp | None = None) -> tuple[SuperOp, Pau
 
 def _null_space(matrix: np.ndarray) -> np.ndarray:
     """Orthonormal right null-space basis (columns) by SVD."""
-    return _block_null_space([matrix], [np.arange(matrix.shape[1])], 0.0)
+    return _null_vectors([matrix], [np.arange(matrix.shape[1])],
+                         [np.linalg.svd(matrix, compute_uv=False)], 0.0)
 
 
-def _block_null_space(mats, blocks, floor: float) -> np.ndarray:
-    """Null-space basis of the block-diagonal matrix whose block on the
-    index set ``blocks[k]`` is ``mats[k]``."""
-    return _null_vectors(mats, blocks,
-                         [np.linalg.svd(mat, compute_uv=False) for mat in mats], floor)
+def _null_counts(svals, floor: float) -> list[int]:
+    """Per block, how many of its singular values ``svals`` (descending)
+    are null: those at or below NULL_SPACE_RTOL * the largest singular
+    value of all blocks, floored at ``floor``; all of the zero operator's."""
+    smax = max((s[0] for s in svals if s.size), default=0.0)
+    cut = max(NULL_SPACE_RTOL * smax, floor)
+    return [int(np.sum(s <= cut)) for s in svals]
 
 
 def _null_vectors(mats, blocks, svals, floor: float) -> np.ndarray:
     """Null-space basis of the block-diagonal matrix with blocks ``mats``
-    on ``blocks`` and singular values ``svals``: rank by NULL_SPACE_RTOL *
-    the largest singular value of all blocks, floored at ``floor``; one
-    full SVD of each block whose smallest singular value is at or below
-    that cut, and each null vector embedded at full length."""
+    on ``blocks`` and singular values ``svals``: each block's null count
+    by ``_null_counts``, its null vectors the trailing right singular
+    vectors of one full SVD of the block, embedded at full length; the
+    zero operator's basis is the identity."""
     dim = sum(len(idx) for idx in blocks)
-    smax = max((s[0] for s in svals if s.size), default=0.0)
-    if smax == 0.0:
+    if not any(s.any() for s in svals):
         return np.eye(dim, dtype=complex)
-    cut = max(NULL_SPACE_RTOL * smax, floor)
     pieces = []
-    for idx, mat, s in zip(blocks, mats, svals):
-        if s.size and s[-1] <= cut:
-            _, s, vh = np.linalg.svd(mat)
-            rank = int(np.sum(s > cut))
-            piece = np.zeros((dim, vh.shape[0] - rank), dtype=vh.dtype)
-            piece[idx] = vh[rank:].conj().T
+    for idx, mat, count in zip(blocks, mats, _null_counts(svals, floor)):
+        if count:
+            vh = np.linalg.svd(mat)[2]
+            piece = np.zeros((dim, count), dtype=vh.dtype)
+            piece[idx] = vh[len(vh) - count:].conj().T
             pieces.append(piece)
     return np.concatenate(pieces or [np.zeros((dim, 0), dtype=complex)], axis=1)
 
@@ -727,7 +764,7 @@ def spectral_diagnostics(
     with np.errstate(divide="ignore"):
         cond = float(max(s[0] for s in svals) / min(s[-1] for s in svals))
     diagonalizable = bool(cond < DIAGONALIZABLE_COND_MAX)
-    steady_dim = liouv.null_basis.shape[1]
+    steady_dim = liouv.null_dim
     # with several steady states a difference of two states need not
     # contract, so there is no mixing time to estimate
     mixing = (
@@ -923,7 +960,7 @@ def verify_ldl_properties(ldl: SuperOp, liouvillian: SuperOp) -> LdlPropertyRepo
     dim = 2 ** ldl.n
     perm = np.arange(dim * dim).reshape(dim, dim).T.ravel()
     st_norm = float(np.linalg.norm(mat[:, perm] - mat.conj()[perm, :]))
-    steady_dim = liouvillian.null_basis.shape[1]
+    steady_dim = liouvillian.null_dim
     return LdlPropertyReport(
         min_eigenvalue=float(evals[0]),
         ground_energy=float(abs(evals[0])),

@@ -25,6 +25,7 @@ with its bias/variance/MSE accounting.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import asdict, astuple, dataclass, fields
 from functools import lru_cache
 
@@ -63,12 +64,23 @@ SWAP_TEST_STREAM = 0x53574150
 # Generator.binomial draws at most this many shots at once (int64).
 _MAX_SHOTS = 2 ** 63 - 1
 
-def _rng(seed: int, stream: int) -> np.random.Generator:
+def _streams(seed: int) -> Callable[[int], np.random.Generator]:
+    """The generators of the streams (seed, stream): one Philox bit
+    generator, re-keyed through its state for each stream, so that stream
+    draws what ``Generator(Philox(key=[seed, stream]))`` draws without a
+    generator built per stream."""
     if seed < 0:
         raise ValidationError(f"seed must be a non-negative integer, got {seed}")
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, stream & 0xFFFFFFFFFFFFFFFF],
-                   dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    gen = np.random.Generator(np.random.Philox(key=seed & 0xFFFFFFFFFFFFFFFF))
+    fresh = gen.bit_generator.state
+
+    def keyed(stream: int) -> np.random.Generator:
+        fresh["state"]["key"] = np.array(
+            [seed & 0xFFFFFFFFFFFFFFFF, stream & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
+        gen.bit_generator.state = fresh
+        return gen
+
+    return keyed
 
 
 def substitute_matrix(amat: np.ndarray) -> np.ndarray:
@@ -253,16 +265,16 @@ def bell_amplitude(rho: DensityMatrix, p: PauliString) -> complex:
 # -- shot-level sampling ------------------------------------------------------
 
 
-def _draw(x: float, shots: int, seed: int, stream: int) -> float:
-    """Mean of ``shots`` +-1 outcomes with P(+1) = (1 + x)/2, drawn on
-    stream (seed, stream); x is a Hadamard read and must lie in [-1, 1]
-    up to rounding."""
+def _draw(x: float, shots: int, gen: np.random.Generator) -> float:
+    """Mean of ``shots`` +-1 outcomes with P(+1) = (1 + x)/2, drawn from
+    ``gen``; x is a Hadamard read and must lie in [-1, 1] up to
+    rounding."""
     if abs(x) > 1.0 + READ_OVERSHOOT_TOL:
         raise WorkbenchError(
             f"|Re Tr(Q rho(x)rho)| = {abs(x):.12f} > 1: inconsistent inputs"
         )
     p = min(max((1.0 + x) / 2.0, 0.0), 1.0)
-    ones = _rng(seed, stream).binomial(shots, p)
+    ones = gen.binomial(shots, p)
     return (2.0 * ones - shots) / shots
 
 
@@ -288,7 +300,7 @@ def hadamard_sample(
     if defect > UNITARY_TOL:
         raise ValidationError(f"substitute is not unitary (defect {defect:.3e})")
     (read,) = word_reads(a, rho).tolist()
-    return _draw((coeff * read).real, shots, seed, stream)
+    return _draw((coeff * read).real, shots, _streams(seed)(stream))
 
 
 def swap_sample(rho: DensityMatrix, shots: int, seed: int) -> float:
@@ -298,7 +310,7 @@ def swap_sample(rho: DensityMatrix, shots: int, seed: int) -> float:
         raise ValidationError("need at least one shot")
     p_s = (1.0 + rho.purity()) / 2.0
     p_s = min(max(p_s, 0.0), 1.0)
-    zeros = _rng(seed, SWAP_TEST_STREAM).binomial(shots, p_s)
+    zeros = _streams(seed)(SWAP_TEST_STREAM).binomial(shots, p_s)
     return 2.0 * zeros / shots - 1.0
 
 
@@ -442,9 +454,10 @@ def estimate_expectation(
         raise DimensionError("plan observable does not match two copies of rho")
     shots = plan.shots_per_term()
     reads = word_reads(plan.terms, rho).real.tolist()
+    streams = _streams(plan.seed)
     numerator = 0.0
     for i, g in enumerate(plan.weights):
-        numerator += g * _draw(reads[i], shots[i], plan.seed, stream=i)
+        numerator += g * _draw(reads[i], shots[i], streams(i))
     purity_est = swap_sample(rho, plan.n_s, plan.seed)
     if purity_est <= 0:
         raise IllConditionedRatioError(

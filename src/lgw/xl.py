@@ -365,7 +365,10 @@ def build_mq_system(
     word, re = word[kept], re[kept].tolist()
     monos = [pairs[p] for p in pair[kept].tolist()]
     const = np.where(np.abs(tgt) >= COEFF_PRUNE_TOL, -tgt, 0.0)
-    rows = np.union1d(word, np.flatnonzero(const))
+    # the rows by a presence mask: np.union1d would load numpy.ma
+    present = const != 0
+    present[word] = True
+    rows = np.flatnonzero(present)
     equations: list[dict[Monomial, float]] = []
     for lo, hi, c in zip(np.searchsorted(word, rows, "left").tolist(),
                          np.searchsorted(word, rows, "right").tolist(),

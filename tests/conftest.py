@@ -1,4 +1,5 @@
 import cmath
+from unittest import mock
 
 import numpy as np
 import scipy.linalg
@@ -6,14 +7,15 @@ from scipy.optimize import linear_sum_assignment
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
+from lgw import lindblad
 from lgw.errors import DimensionError, ValidationError
 from lgw.lindblad import (
     DensityMatrix,
     JumpChannel,
     LmeSpec,
     SuperOp,
-    _block_null_space,
     _edge_components,
+    _null_vectors,
     build_ldl,
     build_liouvillian,
     verify_ldl_properties,
@@ -113,6 +115,54 @@ def dense_liouvillian(spec):
     return lmat
 
 
+def block_null_space(mats, blocks, floor):
+    """Null-space basis of the block-diagonal matrix whose block on the
+    index set ``blocks[k]`` is ``mats[k]``, by ``SuperOp``'s rank rule."""
+    return _null_vectors(mats, blocks,
+                         [np.linalg.svd(mat, compute_uv=False) for mat in mats], floor)
+
+
+def gather_block(idx, h, terms):
+    """Oracle for ``lindblad._gather_blocks``: the generator's block on the
+    vec indices ``idx``, every entry of the dense block computed by the
+    same operations, in the same order, as the entry of the
+    Kronecker-product sum in ``build_liouvillian``'s docstring."""
+    # entry (a, b) sits at row (ket[a], bra[a]) and column (ket[b], bra[b])
+    ket, bra = np.divmod(idx, len(h))
+    ket_row, ket_col = np.ix_(ket, ket)
+    bra_row, bra_col = np.ix_(bra, bra)
+    same_ket = ket_row == ket_col
+    same_bra = bra_row == bra_col
+    mat = -1j * (h[ket_row, ket_col] * same_bra - same_ket * h.T[bra_row, bra_col])
+    for rate, f, fdf in terms:
+        mat += rate * (
+            f[ket_row, ket_col] * f.conj()[bra_row, bra_col]
+            - 0.5 * (fdf[ket_row, ket_col] * same_bra)
+            - 0.5 * (same_ket * fdf.T[bra_row, bra_col])
+        )
+    return mat
+
+
+def assert_gather_matches_dense(spec):
+    """Assert that ``build_liouvillian(spec)``, which gathers its blocks on
+    the terms' edges, gives bit for bit (signed zeros included) the blocks
+    of the same build with each coarse block gathered densely by
+    ``gather_block``.  Returns the generator."""
+    def dense(coarse, rows, cols, h, terms):
+        return [gather_block(idx, h, terms) for idx in coarse]
+
+    liouv = build_liouvillian(spec)
+    with mock.patch.object(lindblad, "_gather_blocks", dense):
+        want = build_liouvillian(spec)
+    assert liouv.rounding_floor == want.rounding_floor
+    assert len(liouv.blocks) == len(want.blocks)
+    for got, idx, mat, oracle in zip(liouv.blocks, want.blocks,
+                                     liouv.block_matrices, want.block_matrices):
+        assert np.array_equal(got, idx)
+        assert np.array_equal(mat.view(np.uint64), oracle.view(np.uint64))
+    return liouv
+
+
 def assert_matches_dense(spec):
     """Assert that ``build_liouvillian(spec)`` equals the dense oracle
     exactly: its blocks are the connected components of the oracle's
@@ -183,7 +233,7 @@ def assert_factors_match_dense(liouv):
         assert dist[rows, cols].max() <= 1e-12 * np.abs(dense).max()
         for (_, v), inv in zip(liouv.eig, liouv.eig_inverses):
             assert np.abs(inv @ v - np.eye(len(v))).max() <= 1e-12 * cond
-    null = _block_null_space([mat], [np.arange(len(mat))], liouv.rounding_floor)
+    null = block_null_space([mat], [np.arange(len(mat))], liouv.rounding_floor)
     basis = liouv.null_basis
     assert basis.shape == null.shape
     assert np.abs(basis @ basis.conj().T - null @ null.conj().T).max() < 1e-8

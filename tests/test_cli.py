@@ -492,6 +492,43 @@ def test_runtime_needs_numpy_alone(tmp_path):
     assert done.returncode == 0, done.stderr
 
 
+def test_runs_leave_numpy_ma_unloaded(tmp_path):
+    # numpy.ma takes about 15 ms and 1 MB to import, and np.union1d or a
+    # plain np.unique loads it
+    ansatz = LiouvillianAnsatz.xxz_chain(3)
+    target = ansatz.forward_ldl([0.3 + 0.1 * k for k in range(ansatz.num_h)],
+                                [0.4 + 0.2 * k for k in range(ansatz.num_jumps)])
+    (tmp_path / "target.txt").write_text(format_pauli_sum(target))
+    (tmp_path / "ansatz.json").write_text(json.dumps({"type": "xxz_chain",
+                                                      "sites": 3}))
+    (tmp_path / "xxz_obs.txt").write_text("1.0 0.0 ZIIIII\n")
+    spec = sigma_minus_spec_file(tmp_path)
+    obs = tmp_path / "obs.txt"
+    obs.write_text(format_pauli_sum(PauliSum.from_letter_terms([(1.0, "ZZ")])))
+    script = textwrap.dedent(f"""
+        import sys
+        from lgw import cli
+        runs = [
+            ["pipeline", "--target", {str(tmp_path / "target.txt")!r},
+             "--ansatz", {str(tmp_path / "ansatz.json")!r},
+             "--observable", {str(tmp_path / "xxz_obs.txt")!r}, "--shots", "20000"],
+            ["xl-bench", "--sizes", "5", "--reps", "1"],
+            ["verify", "--spec", {str(spec)!r}],
+            ["steady", "--spec", {str(spec)!r}],
+            ["measure", "--spec", {str(spec)!r}, "--observable", {str(obs)!r},
+             "--shots", "400"],
+        ]
+        for argv in runs:
+            assert cli.main(argv + ["--out", {str(tmp_path)!r}]) == 0, argv
+            assert "numpy.ma" not in sys.modules, argv
+    """)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+
+
 def test_linalg_error_is_one_error_line(tmp_path, monkeypatch, capsys):
     def diverge(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")

@@ -11,6 +11,7 @@ from conftest import (
     IDENTITY_JUMP_SPEC,
     RANK_FLOOR_SPEC,
     assert_factors_match_dense,
+    assert_gather_matches_dense,
     assert_ldl_matches_dense,
     assert_matches_dense,
     bisect_all_halvings,
@@ -57,7 +58,15 @@ from lgw.lindblad import (
     verify_ldl_properties,
 )
 from lgw.pauli import PauliSum, to_matrix
+from lgw.tolerances import DIAGONALIZABLE_COND_MAX
 from lgw.xl import LiouvillianAnsatz
+
+# a jump at rate 5e-324 puts subnormal entries in blocks
+# [[-1, 5e-324], [1, -5e-324]], for which LAPACK's eig returns V = I
+SUBNORMAL_RATE_SPEC = {
+    "n": 2, "hamiltonian": [],
+    "jumps": [{"rate": 1.0, "op": [[0.5, 0.0, "IX"], [0.0, -0.5, "IY"]]},
+              {"rate": 5e-324, "op": [[0.5, 0.0, "IX"], [0.0, 0.5, "IY"]]}]}
 
 
 def lme_rhs(spec, rho):
@@ -437,13 +446,7 @@ def test_random_spec_blocks_equal_the_dense_oracle():
 
 
 def test_subnormal_generator_entries_are_zero():
-    # a jump at rate 5e-324 puts subnormal entries in blocks
-    # [[-1, 5e-324], [1, -5e-324]], for which LAPACK's eig returns V = I
-    spec, _ = lme_from_json_dict({
-        "n": 2, "hamiltonian": [],
-        "jumps": [{"rate": 1.0, "op": [[0.5, 0.0, "IX"], [0.0, -0.5, "IY"]]},
-                  {"rate": 5e-324, "op": [[0.5, 0.0, "IX"], [0.0, 0.5, "IY"]]}]})
-    liouv = assert_matches_dense(spec)
+    liouv = assert_matches_dense(lme_from_json_dict(SUBNORMAL_RATE_SPEC)[0])
     for blk, (lam, v) in zip(liouv.block_matrices, liouv.eig):
         assert (np.abs(blk[blk != 0]) >= np.finfo(float).tiny).all()
         assert np.abs(blk @ v - v * lam).max() <= 1e-12 * np.abs(blk).max()
@@ -530,13 +533,18 @@ def test_blocks_that_rho0_misses_stay_zero():
     assert np.any(out[home[1:]] != 0)
 
 
-def test_pure_dephasing_has_singleton_blocks():
-    n = 2
+def dephasing_spec():
+    """Two qubits under Z fields and Z dephasing: a diagonal generator."""
     ham = PauliSum.from_letter_terms([(0.7, "ZI"), (0.3, "IZ")])
     jumps = tuple(
         JumpChannel(0.5, PauliSum.from_letter_terms([(1.0, w)])) for w in ("ZI", "IZ")
     )
-    liouv = build_liouvillian(LmeSpec(n, ham, jumps))
+    return LmeSpec(2, ham, jumps)
+
+
+def test_pure_dephasing_has_singleton_blocks():
+    n = 2
+    liouv = build_liouvillian(dephasing_spec())
     assert np.count_nonzero(liouv.matrix - np.diag(np.diag(liouv.matrix))) == 0
     assert [idx.tolist() for idx in liouv.blocks] == [[i] for i in range(4 ** n)]
     assert spectral_diagnostics(liouv, mixing_probes=2).steady_dim == 2 ** n
@@ -545,11 +553,63 @@ def test_pure_dephasing_has_singleton_blocks():
     assert set(np.flatnonzero(np.abs(liouv.null_basis).sum(axis=1))) == set(diagonal)
 
 
+GATHER_SPECS = {
+    **{f"xxz{sites}": lambda sites=sites: xxz_spec(sites, 40 + sites)
+       for sites in (2, 3, 4, 5)},
+    "dephasing": dephasing_spec,
+    "subnormal_rate": lambda: lme_from_json_dict(SUBNORMAL_RATE_SPEC)[0],
+    "zero": lambda: LmeSpec(2, PauliSum.zero(2), ()),
+    "cancelling": lambda: lme_from_json_dict(IDENTITY_JUMP_SPEC)[0],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GATHER_SPECS))
+def test_edge_gather_matches_the_dense_gather(name):
+    liouv = assert_gather_matches_dense(GATHER_SPECS[name]())
+    assert liouv.null_dim == liouv.null_basis.shape[1]
+
+
+def test_steady_count_takes_no_singular_vectors(monkeypatch):
+    # the count reads the cached singular values; only steady_state takes
+    # vectors, one full SVD of each block that holds null vectors
+    spec = xxz_spec(4, 17)
+    liouv = build_liouvillian(spec)
+    ldl, _ = build_ldl(spec, liouv)
+    calls = counting_factorizations(monkeypatch, liouv, ("svd",))
+    report = spectral_diagnostics(liouv)
+    props = verify_ldl_properties(ldl, liouv)
+    assert calls["svd_uv"] == []
+    assert report.steady_dim == props.steady_dim == liouv.null_dim == 1
+    steady_state(liouv)
+    holding = [len(idx) for idx in liouv.blocks
+               if np.abs(liouv.null_basis[idx]).any()]
+    assert calls["svd_uv"] == holding and len(holding) == 1
+
+
+@pytest.mark.parametrize("sites", [2, 3, 4, 5])
+def test_real_form_condition_from_the_real_basis(sites):
+    # each conjugate pair (w, conj w) of W becomes sqrt2 Re w, sqrt2 Im w,
+    # a unitary mix of the pair, so the singular values are W's
+    liouv = xxz_liouvillian(sites, 30 + sites)
+    assert liouv.forms[0][0] == "real"
+    own = [vecs for (_, vecs) in filter(None, liouv._own_eig)]
+    assert np.iscomplexobj(own[0])
+    got = liouv.eigvec_singular_values[0]
+    want = np.linalg.cond(own[0])
+    assert abs(got[0] / got[-1] - want) <= 1e-12 * want
+    svals = [np.linalg.svd(vecs, compute_uv=False) for vecs in own]
+    cond = max(s[0] for s in svals) / min(s[-1] for s in svals)
+    report = spectral_diagnostics(liouv, mixing_probes=0)
+    assert abs(report.eigvec_condition - cond) <= 1e-12 * cond
+    assert report.diagonalizable == (cond < DIAGONALIZABLE_COND_MAX)
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_zero_generator_null_basis_is_identity(n):
     liouv = diagonal_superop(n, np.zeros(4 ** n))
     assert len(liouv.blocks) == 4 ** n
     assert np.array_equal(liouv.null_basis, np.eye(4 ** n))
+    assert liouv.null_dim == 4 ** n
 
 
 def test_null_space_rank_rule_uses_global_sigma_max():

@@ -25,6 +25,7 @@ from lgw.errors import (
 from lgw.lindblad import DensityMatrix, build_liouvillian, steady_state, vectorize
 from lgw.measure import (
     ESTIMATE_CSV_HEADER,
+    SWAP_TEST_STREAM,
     MeasurementPlan,
     bell_amplitude,
     build_table,
@@ -345,8 +346,21 @@ def test_word_read_matches_substitute_oracle():
         (read,) = measure.word_reads(PauliSum.from_term(word), rho)
         assert abs(read - oracle) <= 1e-15, word
         p = min(max((1.0 + oracle.real) / 2.0, 0.0), 1.0)
-        want = (2.0 * measure._rng(i, 7).binomial(100, p) - 100) / 100
+        drawn = np.random.Generator(np.random.Philox(key=[i, 7])).binomial(100, p)
+        want = (2.0 * drawn - 100) / 100
         assert hadamard_sample(PauliSum.from_term(word), rho, 100, i, 7) == want
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 63])
+def test_streams_draw_what_a_fresh_philox_draws(seed):
+    # one bit generator re-keyed per stream, against a generator built per
+    # stream; stream 7 comes back after the others have drawn
+    streams = measure._streams(seed)
+    for stream in (0, 7, SWAP_TEST_STREAM, 7):
+        want = np.random.Generator(np.random.Philox(key=[seed, stream]))
+        got = streams(stream)
+        for shots, p in ((100, 0.3), (1, 0.5), (10 ** 6, 0.9)):
+            assert got.binomial(shots, p) == want.binomial(shots, p)
 
 
 def _gather_sums(n, rng):

@@ -20,11 +20,13 @@ from conftest import (
     IDENTITY_JUMP_SPEC,
     RANK_FLOOR_SPEC,
     assert_factors_match_dense,
+    assert_gather_matches_dense,
     assert_ldl_matches_dense,
     assert_matches_dense,
+    block_null_space,
 )
 from lgw import cli
-from lgw.lindblad import _block_null_space, build_liouvillian, lme_from_json_dict
+from lgw.lindblad import lme_from_json_dict
 
 # a degenerate steady space with an anti-Hermitian null vector, whose
 # Hermitian part is zero: steady_report.json once held NaN for it
@@ -185,15 +187,16 @@ def _check_front_door(spec, observable, out):
         assert steady_dim > 1
         assert len(err) == 1 and err[0].startswith("error")
 
-    # library-level: trace preservation and the block rank rule against
-    # one SVD of the whole generator
-    liouv = build_liouvillian(lme_from_json_dict(spec)[0])
+    # library-level: the edge gather against the dense one, trace
+    # preservation, and the block rank rule against one SVD of the whole
+    # generator
+    liouv = assert_gather_matches_dense(lme_from_json_dict(spec)[0])
     dim = 2 ** spec["n"]
     left = np.eye(dim).reshape(-1) @ liouv.matrix
     assert np.abs(left).max() <= 1e-12 * max(1.0, np.abs(liouv.matrix).max())
-    assert steady_dim == liouv.null_basis.shape[1]
-    whole = _block_null_space([liouv.matrix], [np.arange(dim * dim)],
-                              liouv.rounding_floor)
+    assert steady_dim == liouv.null_dim == liouv.null_basis.shape[1]
+    whole = block_null_space([liouv.matrix], [np.arange(dim * dim)],
+                             liouv.rounding_floor)
     assert steady_dim == whole.shape[1]
 
 
