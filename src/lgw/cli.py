@@ -93,16 +93,17 @@ def _load_observable(path: str) -> PauliSum:
 
 def _load_ansatz(path: str) -> xl.LiouvillianAnsatz:
     data = lindblad.read_input(path)
+    as_int = lindblad._json_int
     try:
         kind = data["type"]
         if kind == "xxz_chain":
-            return xl.LiouvillianAnsatz.xxz_chain(int(data["sites"]))
+            return xl.LiouvillianAnsatz.xxz_chain(as_int(data["sites"], "sites"))
         if kind == "full_local_family":
             return xl.LiouvillianAnsatz.full_local_family(
-                int(data["n"]), int(data["locality"])
+                as_int(data["n"], "n"), as_int(data["locality"], "locality")
             )
         if kind == "custom":
-            n = int(data["n"])
+            n = as_int(data["n"], "n")
             ham = tuple(
                 lindblad._sum_from_triples(entry, n) for entry in data["hamiltonian"]
             )
@@ -110,7 +111,7 @@ def _load_ansatz(path: str) -> xl.LiouvillianAnsatz:
                 lindblad._sum_from_triples(entry, n) for entry in data["jumps"]
             )
             return xl.LiouvillianAnsatz(
-                n, ham, jumps, int(data.get("locality", 2 * n))
+                n, ham, jumps, as_int(data.get("locality", 2 * n), "locality")
             )
     except KeyError as exc:
         raise ValidationError(f"ansatz is missing key {exc}") from exc

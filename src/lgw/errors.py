@@ -5,16 +5,16 @@ class WorkbenchError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class DimensionError(WorkbenchError):
-    """Operands have incompatible qubit counts or matrix shapes."""
-
-
 class CapacityError(WorkbenchError):
     """A dense realization would exceed the fixed qubit cap."""
 
 
 class ValidationError(WorkbenchError):
     """An input violates a documented precondition."""
+
+
+class DimensionError(ValidationError):
+    """Operands have incompatible qubit counts or matrix shapes."""
 
 
 class NormalizationError(WorkbenchError):

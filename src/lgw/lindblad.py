@@ -24,7 +24,7 @@ from .errors import (
     ValidationError,
     WorkbenchError,
 )
-from .pauli import PauliSum, check_dense, to_matrix
+from .pauli import PauliSum, _signed_permutations, _word_values, check_dense, to_matrix
 from .tolerances import (
     DECAY_RATE_FLOOR,
     DIAGONALIZABLE_COND_MAX,
@@ -115,15 +115,17 @@ class SuperOp:
     in complex form.
 
     ``forms``, ``eig``, ``eig_inverses``, ``eigvec_singular_values``,
-    ``singular_values``, ``null_dim``, ``null_basis`` and the full 4^n x
-    4^n ``matrix`` are computed on first use and cached, which relies on
-    the blocks not being modified after construction.  ``null_dim`` counts
+    ``singular_values``, ``null_dim``, ``null_basis``, the owner of each
+    index (its block and its position there) and the full 4^n x 4^n
+    ``matrix`` are computed on first use and cached, which relies on the
+    blocks not being modified after construction.  ``null_dim`` counts
     the null space on the cached singular values alone; ``null_basis``
-    takes each block's count from the same values and its vectors from a
-    full SVD of only the blocks that hold some.  Singular values up to
-    ``rounding_floor``, the rounding residue of the generator's terms,
-    count as null.  ``build_liouvillian`` gathers a generator's blocks on
-    the edge pattern of its terms: entries off it are zero.
+    takes each block's count from the same values and its vectors from
+    its form (see there).  Singular values up to ``rounding_floor``, the
+    rounding residue of the generator's terms, count as null.
+    ``build_liouvillian`` gathers a generator's blocks on the edge pattern
+    of its terms: entries off it are zero.  No run path reads ``matrix``;
+    it scatters the blocks for tests.
     """
 
     n: int
@@ -163,15 +165,18 @@ class SuperOp:
                    for mat in self.block_matrices)
 
     @cached_property
+    def _owner(self) -> tuple[np.ndarray, np.ndarray]:
+        """``_block_owner`` of the blocks."""
+        return _block_owner(self.blocks, 4 ** self.n)
+
+    @cached_property
     def forms(self) -> tuple[tuple[str, tuple], ...]:
         """Per block, the form it is factored in: ``("complex", ())``,
         ``("real", (R, fixed, first, second))`` with R = T^dag B T on the
         local fixed points and swapped pairs of S, or ``("partner", (k,
         p))`` for the partner of the earlier block k."""
         dim = 2 ** self.n
-        label = np.empty(4 ** self.n, dtype=np.intp)
-        for k, idx in enumerate(self.blocks):
-            label[idx] = k
+        label = self._owner[0]
         forms = [None] * len(self.blocks)
         for k, (idx, mat) in enumerate(zip(self.blocks, self.block_matrices)):
             if forms[k] is not None:
@@ -277,9 +282,27 @@ class SuperOp:
 
     @cached_property
     def null_basis(self) -> np.ndarray:
-        """Orthonormal right null-space basis (columns)."""
-        return _null_vectors(self.block_matrices, self.blocks,
-                             self.singular_values, self.rounding_floor)
+        """Orthonormal right null-space basis (columns), block by block, by
+        ``null_dim``'s counts: the last right singular vectors of B, of R
+        mapped back by T in real form, or a partner's own block's, permuted
+        and conjugated; the zero operator's basis is the identity."""
+        dim = 4 ** self.n
+        if not any(s.any() for s in self.singular_values):
+            return np.eye(dim, dtype=complex)
+        basis = np.zeros((dim, self.null_dim), dtype=complex)
+        vecs, start = [], 0
+        for idx, (kind, data), mat, count in zip(
+                self.blocks, self.forms, self.block_matrices,
+                _null_counts(self.singular_values, self.rounding_floor)):
+            if kind == "partner":
+                vecs.append(vecs[data[0]].conj()[data[1]])
+            elif kind == "real":
+                vecs.append(_from_real_form(_trailing_vectors(data[0], count), *data[1:]))
+            else:
+                vecs.append(_trailing_vectors(mat, count))
+            basis[idx, start:start + count] = vecs[-1]
+            start += count
+        return basis
 
 
 def _real_form(mat: np.ndarray, fixed, first, second) -> np.ndarray:
@@ -485,11 +508,7 @@ def _gather_blocks(coarse, rows: np.ndarray, cols: np.ndarray, h: np.ndarray,
             - 0.5 * (fdf[ket_row, ket_col] * same_bra)
             - 0.5 * (same_ket * fdf.T[bra_row, bra_col])
         )
-    label = np.empty(len(h) ** 2, dtype=np.intp)
-    local = np.empty(len(h) ** 2, dtype=np.intp)
-    for k, idx in enumerate(coarse):
-        label[idx] = k
-        local[idx] = np.arange(len(idx))
+    label, local = _block_owner(coarse, len(h) ** 2)
     # the edges grouped by the block they fall in
     block = label[rows]
     order = np.argsort(block, kind="stable")
@@ -500,6 +519,17 @@ def _gather_blocks(coarse, rows: np.ndarray, cols: np.ndarray, h: np.ndarray,
         mat[local[rows[own]], local[cols[own]]] = vals[own]
         mats.append(mat)
     return mats
+
+
+def _block_owner(blocks, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per index below ``size``: the block of ``blocks`` that holds it and
+    its position there."""
+    label = np.empty(size, dtype=np.intp)
+    local = np.empty(size, dtype=np.intp)
+    for k, idx in enumerate(blocks):
+        label[idx] = k
+        local[idx] = np.arange(len(idx))
+    return label, local
 
 
 def pauli_liouvillian(n: int, hamiltonian: PauliSum, jumps) -> PauliSum:
@@ -541,8 +571,8 @@ def build_ldl(spec: LmeSpec, liouv: SuperOp | None = None) -> tuple[SuperOp, Pau
     is B^dag B for the generator's block B, and the 4^n x 4^n product is
     never formed.  The Pauli form is L_P^dag L_P with L_P from
     ``pauli_liouvillian``; it is cross-checked entry by entry against the
-    scattered blocks (an entrywise bound also bounds every Pauli
-    coefficient, |Tr(P D)|/2^n <= max|D_ij|), and disagreement beyond
+    blocks, in a block and off one (an entrywise bound also bounds every
+    Pauli coefficient, |Tr(P D)|/2^n <= max|D_ij|), and disagreement beyond
     ``LDL_FORMS_TOL`` means a construction bug and raises.  ``liouv``,
     the generator of ``spec`` if it is already built, saves building it
     again.
@@ -555,7 +585,7 @@ def build_ldl(spec: LmeSpec, liouv: SuperOp | None = None) -> tuple[SuperOp, Pau
         spec.n, spec.hamiltonian, [(ch.rate, ch.op) for ch in spec.jumps]
     )
     sym = lp.dagger() @ lp
-    gap = float(np.abs(to_matrix(sym) - ldl.matrix).max())
+    gap = _pauli_gap(ldl, sym)
     if gap > LDL_FORMS_TOL:
         raise WorkbenchError(
             f"Pauli-sum and dense squared generators disagree by {gap:.3e}"
@@ -568,13 +598,37 @@ def build_ldl(spec: LmeSpec, liouv: SuperOp | None = None) -> tuple[SuperOp, Pau
     return ldl, sym
 
 
+def _pauli_gap(op: SuperOp, s: PauliSum) -> float:
+    """max |to_matrix(s) - op.matrix| with neither matrix formed: a word
+    with flip f reaches only the entries (c ^ f, c), so the words of each
+    flip are summed into one row, each entry in term order as
+    ``to_matrix`` sums it, and read off at op's blocks and off them."""
+    cols = np.arange(4 ** op.n)
+    has = np.zeros(len(cols), dtype=bool)
+    has[_signed_permutations(s.word_keys, s.n)[0]] = True
+    flips = np.flatnonzero(has)
+    # a flip that no word has reads the last row, which stays zero
+    rank = np.where(has, np.cumsum(has) - 1, -1)
+    sums = np.zeros((len(flips) + 1, len(cols)), dtype=complex)
+    for flip, vals in _word_values(s):
+        np.add.at(sums, (rank[flip, None], cols), vals)
+    label = op._owner[0]
+    gap = np.abs(sums[:-1][label[flips[:, None] ^ cols] != label[cols]]).max(initial=0.0)
+    for idx, mat in zip(op.blocks, op.block_matrices):
+        gap = max(gap, np.abs(sums[rank[idx[:, None] ^ idx], idx] - mat).max(initial=0.0))
+    return float(gap)
+
+
 # -- steady states -------------------------------------------------------
 
 
 def _null_space(matrix: np.ndarray) -> np.ndarray:
-    """Orthonormal right null-space basis (columns) by SVD."""
-    return _null_vectors([matrix], [np.arange(matrix.shape[1])],
-                         [np.linalg.svd(matrix, compute_uv=False)], 0.0)
+    """Orthonormal right null-space basis (columns) by SVD, by
+    ``SuperOp.null_basis``'s rank rule."""
+    svals = np.linalg.svd(matrix, compute_uv=False)
+    if not svals.any():
+        return np.eye(matrix.shape[1], dtype=complex)
+    return _trailing_vectors(matrix, _null_counts([svals], 0.0)[0])
 
 
 def _null_counts(svals, floor: float) -> list[int]:
@@ -586,23 +640,13 @@ def _null_counts(svals, floor: float) -> list[int]:
     return [int(np.sum(s <= cut)) for s in svals]
 
 
-def _null_vectors(mats, blocks, svals, floor: float) -> np.ndarray:
-    """Null-space basis of the block-diagonal matrix with blocks ``mats``
-    on ``blocks`` and singular values ``svals``: each block's null count
-    by ``_null_counts``, its null vectors the trailing right singular
-    vectors of one full SVD of the block, embedded at full length; the
-    zero operator's basis is the identity."""
-    dim = sum(len(idx) for idx in blocks)
-    if not any(s.any() for s in svals):
-        return np.eye(dim, dtype=complex)
-    pieces = []
-    for idx, mat, count in zip(blocks, mats, _null_counts(svals, floor)):
-        if count:
-            vh = np.linalg.svd(mat)[2]
-            piece = np.zeros((dim, count), dtype=vh.dtype)
-            piece[idx] = vh[len(vh) - count:].conj().T
-            pieces.append(piece)
-    return np.concatenate(pieces or [np.zeros((dim, 0), dtype=complex)], axis=1)
+def _trailing_vectors(mat: np.ndarray, count: int) -> np.ndarray:
+    """The last ``count`` right singular vectors of one full SVD of
+    ``mat``, as columns; for a count of 0, none and no SVD."""
+    if not count:
+        return np.zeros((mat.shape[1], 0), dtype=complex)
+    vh = np.linalg.svd(mat)[2]
+    return vh[len(vh) - count:].conj().T
 
 
 def _hermitian_part(mat: np.ndarray) -> np.ndarray:
@@ -945,10 +989,8 @@ def verify_ldl_properties(ldl: SuperOp, liouvillian: SuperOp) -> LdlPropertyRepo
     non-negative spectrum with zero ground energy, commutation with the
     exchange/conjugation map, and agreement between its ground-space
     dimension and the steady-space dimension of the generator."""
-    mat = (ldl.matrix + ldl.matrix.conj().T) / 2
-    evals = np.sort(np.concatenate([
-        np.linalg.eigvalsh((blk + blk.conj().T) / 2) for blk in ldl.block_matrices
-    ]))
+    herm = [(blk + blk.conj().T) / 2 for blk in ldl.block_matrices]
+    evals = np.sort(np.concatenate([np.linalg.eigvalsh(blk) for blk in herm]))
     # the steady count's sigma <= NULL_SPACE_RTOL * sigma_max of L reads
     # lambda <= NULL_SPACE_RTOL**2 * lambda_max here (lambda = sigma**2),
     # floored at what eigvalsh resolves, about dim * eps * lambda_max, and
@@ -956,10 +998,21 @@ def verify_ldl_properties(ldl: SuperOp, liouvillian: SuperOp) -> LdlPropertyRepo
     zero_tol = max(NULL_SPACE_RTOL ** 2, len(evals) * np.finfo(float).eps)
     cut = max(zero_tol * max(float(evals[-1]), 0.0), liouvillian.rounding_floor ** 2)
     ground_dim = int(np.sum(evals <= cut))
-    # ||M S - S M*||, with the exchange S applied as an index permutation
+    # ||M S - S M*||_F, S the exchange: on the rows of block a and the
+    # columns S a, M S is M_a and S M* is M* gathered on S a; on the rows
+    # S b and columns b, S M* is M_b*, which M S misses where S b is split
     dim = 2 ** ldl.n
-    perm = np.arange(dim * dim).reshape(dim, dim).T.ravel()
-    st_norm = float(np.linalg.norm(mat[:, perm] - mat.conj()[perm, :]))
+    label, local = ldl._owner
+    squares = 0.0
+    for idx, blk in zip(ldl.blocks, herm):
+        swapped = (idx % dim) * dim + idx // dim
+        lab, image = label[swapped], np.zeros_like(blk)
+        for m in set(lab.tolist()):
+            at = np.flatnonzero(lab == m)
+            image[np.ix_(at, at)] = herm[m][np.ix_(local[swapped[at]], local[swapped[at]])]
+        squares += np.linalg.norm(blk - image.conj()) ** 2
+        squares += np.linalg.norm(blk[lab[:, None] != lab]) ** 2
+    st_norm = float(np.sqrt(squares))
     steady_dim = liouvillian.null_dim
     return LdlPropertyReport(
         min_eigenvalue=float(evals[0]),
@@ -1001,10 +1054,18 @@ def lme_to_json_dict(spec: LmeSpec, **extra) -> dict:
     return out
 
 
+def _json_int(value, name: str) -> int:
+    """An integer read from JSON: a bool or a non-integral number is a
+    ValidationError, not truncated."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def lme_from_json_dict(data: dict) -> tuple[LmeSpec, dict]:
     """Parse an LmeSpec; unknown keys are returned as a side dict."""
     try:
-        n = int(data["n"])
+        n = _json_int(data["n"], "n")
         ham = _sum_from_triples(data["hamiltonian"], n)
         jumps = tuple(
             JumpChannel(float(j["rate"]), _sum_from_triples(j["op"], n))

@@ -433,32 +433,36 @@ def _signed_permutations(keys: np.ndarray, n: int):
     return flip, phase, _I4_ARRAY[np.bitwise_count(flip & phase) & 3]
 
 
+def _word_values(s: PauliSum):
+    """The words of ``s`` in term order, in blocks of about
+    ``_PRODUCT_BLOCK`` values: per block, each word's flip mask and the
+    value coeff * i^y * (-1)^popcount(phase & c) it sends from every
+    column c, a (words, 2^n) array (see ``_signed_permutations``)."""
+    dim = 2 ** s.n
+    flip, phase, i_y = _signed_permutations(s.word_keys, s.n)
+    c = s.coeffs * i_y
+    cols = np.arange(dim, dtype=np.int64)
+    words = max(1, _PRODUCT_BLOCK // dim)
+    for lo in range(0, len(c), words):
+        coeff = c[lo:lo + words, None]
+        odd = np.bitwise_count(phase[lo:lo + words, None] & cols) & 1
+        yield flip[lo:lo + words], np.where(odd, -coeff, coeff)
+
+
 def to_matrix(s: PauliSum) -> np.ndarray:
     """Dense complex matrix of a Pauli sum, qubit 0 most significant.
 
-    Each word is the signed permutation of ``_signed_permutations``: it
-    sends column c to row c ^ flip with value coeff * i^y *
-    (-1)^popcount(phase & c).  The entries are scattered word by word in
-    blocks, so every matrix entry sums its words in term order, as adding
-    the words' Kronecker products one after another would.
+    Each word sends column c to row c ^ flip with the value of
+    ``_word_values``.  The entries are scattered word by word in blocks,
+    so every matrix entry sums its words in term order, as adding the
+    words' Kronecker products one after another would.
     """
-    n = s.n
-    check_dense(n)
-    dim = 2 ** n
-    flip, phase, i_y = _signed_permutations(s.word_keys, n)
-    c = s.coeffs * i_y
+    check_dense(s.n)
+    dim = 2 ** s.n
     cols = np.arange(dim, dtype=np.int64)
     out = np.zeros(dim * dim, dtype=complex)
-    words = max(1, _PRODUCT_BLOCK // dim)
-    for lo in range(0, len(c), words):
-        f, p = flip[lo:lo + words, None], phase[lo:lo + words, None]
-        coeff = c[lo:lo + words, None]
-        odd = np.bitwise_count(p & cols) & 1
-        np.add.at(
-            out,
-            ((f ^ cols) * dim + cols).ravel(),
-            np.where(odd, -coeff, coeff).ravel(),
-        )
+    for flip, vals in _word_values(s):
+        np.add.at(out, ((flip[:, None] ^ cols) * dim + cols).ravel(), vals.ravel())
     return out.reshape(dim, dim)
 
 

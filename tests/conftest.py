@@ -15,7 +15,7 @@ from lgw.lindblad import (
     LmeSpec,
     SuperOp,
     _edge_components,
-    _null_vectors,
+    _null_counts,
     build_ldl,
     build_liouvillian,
     verify_ldl_properties,
@@ -116,10 +116,22 @@ def dense_liouvillian(spec):
 
 
 def block_null_space(mats, blocks, floor):
-    """Null-space basis of the block-diagonal matrix whose block on the
-    index set ``blocks[k]`` is ``mats[k]``, by ``SuperOp``'s rank rule."""
-    return _null_vectors(mats, blocks,
-                         [np.linalg.svd(mat, compute_uv=False) for mat in mats], floor)
+    """Oracle for ``SuperOp.null_basis``: the null-space basis of the
+    block-diagonal matrix whose block on the index set ``blocks[k]`` is
+    ``mats[k]``, by ``SuperOp``'s rank rule, each block's null vectors the
+    trailing right singular vectors of one full complex SVD of that block,
+    embedded at full length; the zero operator's basis is the identity."""
+    svals = [np.linalg.svd(mat, compute_uv=False) for mat in mats]
+    dim = sum(len(idx) for idx in blocks)
+    if not any(s.any() for s in svals):
+        return np.eye(dim, dtype=complex)
+    pieces = [np.zeros((dim, 0), dtype=complex)]
+    for idx, mat, count in zip(blocks, mats, _null_counts(svals, floor)):
+        if count:
+            vh = np.linalg.svd(mat)[2]
+            pieces.append(np.zeros((dim, count), dtype=complex))
+            pieces[-1][idx] = vh[len(vh) - count:].conj().T
+    return np.concatenate(pieces, axis=1)
 
 
 def gather_block(idx, h, terms):
@@ -183,15 +195,62 @@ def assert_matches_dense(spec):
     return liouv
 
 
+def assert_ldl_checks_match_dense(ldl, sym, liouv):
+    """Assert that the block-native checks of the squared generator read
+    what their dense forms read: ``build_ldl``'s Pauli cross-check gap is
+    max |to_matrix(sym) - ldl.matrix| bit for bit, and
+    ``verify_ldl_properties``'s ||M S - S M*||_F is that of the Hermitized
+    4^n x 4^n matrix M and the permutation matrix S within 1e-14 ||M||_F."""
+    assert lindblad._pauli_gap(ldl, sym) == np.abs(to_matrix(sym) - ldl.matrix).max()
+    assert_st_norm_matches_dense(ldl, liouv)
+
+
+def assert_st_norm_matches_dense(ldl, liouv):
+    """Assert that ``verify_ldl_properties(ldl, liouv).st_commutator_norm``
+    is ||M S - S M*||_F of the Hermitized full matrix M and the exchange
+    matrix S within 1e-14 ||M||_F."""
+    mat = (ldl.matrix + ldl.matrix.conj().T) / 2
+    s = exchange_matrix(ldl.n)
+    want = np.linalg.norm(mat @ s - s @ mat.conj())
+    got = verify_ldl_properties(ldl, liouv).st_commutator_norm
+    assert abs(got - want) <= 1e-14 * np.linalg.norm(mat)
+
+
+def assert_null_basis_matches_oracle(liouv):
+    """Assert that ``liouv.null_basis``, taken from the blocks' forms, has
+    the shape of the per-block complex-SVD oracle ``block_null_space`` and
+    the same projector: each column lies in one block, so the projector is
+    compared block by block, and no two blocks share a column.  Two SVDs
+    of one block each find its null space to within about eps * sigma_max
+    / delta (Wedin's bound), delta the block's smallest singular value
+    above the null cut, so the projectors agree within 1e-12 unless that
+    bound, times 64, is looser."""
+    basis = liouv.null_basis
+    want = block_null_space(liouv.block_matrices, liouv.blocks, liouv.rounding_floor)
+    assert basis.shape == want.shape
+    svals = liouv.singular_values
+    smax = max((s[0] for s in svals if s.size), default=0.0)
+    seen = np.zeros(basis.shape[1], dtype=int)
+    for idx, s, count in zip(liouv.blocks, svals, _null_counts(svals, liouv.rounding_floor)):
+        got, ref = basis[idx], want[idx]
+        delta = s[len(s) - count - 1] if count < len(s) else np.inf
+        tol = max(1e-12, 64 * np.finfo(float).eps * smax / delta)
+        assert np.abs(got @ got.conj().T - ref @ ref.conj().T).max() <= tol
+        seen += np.abs(got).any(axis=0)
+    assert (seen <= 1).all()
+
+
 def assert_ldl_matches_dense(spec):
     """Assert that ``build_ldl(spec)`` squares the generator on its own
     blocks: it keeps the generator's blocks, its scattered matrix is
-    D^dag D for the dense oracle D within 1e-12 relative, and
+    D^dag D for the dense oracle D within 1e-12 relative, its checks read
+    what their dense forms read (``assert_ldl_checks_match_dense``), and
     ``verify_ldl_properties`` reads the same ground dimension and the same
     PASS/FAIL as on D^dag D split along the components of its own
     pattern, which cancellation can make finer."""
     liouv = build_liouvillian(spec)
-    ldl, _ = build_ldl(spec)
+    ldl, sym = build_ldl(spec)
+    assert_ldl_checks_match_dense(ldl, sym, liouv)
     assert len(ldl.blocks) == len(liouv.blocks)
     assert all(np.array_equal(a, b) for a, b in zip(ldl.blocks, liouv.blocks))
     dense = dense_liouvillian(spec)

@@ -249,6 +249,63 @@ def test_malformed_inputs_are_one_line_validation_errors(
     assert len(err) == 1 and err[0].startswith("error")
 
 
+@pytest.mark.parametrize("case", ["hamiltonian", "jump", "observable", "target"])
+def test_input_of_the_wrong_width_is_one_line_validation_error(
+    one_site_files, capsys, case
+):
+    tmp, target, ansatz, obs = one_site_files
+    spec = sigma_minus_spec_file(tmp)
+    if case in ("hamiltonian", "jump"):
+        data = {"n": 1, "hamiltonian": [[1.0, 0.0, "ZZ"]], "jumps": []}
+        if case == "jump":
+            data = {"n": 1, "hamiltonian": [],
+                    "jumps": [{"rate": 1.0, "op": [[1.0, 0.0, "XX"]]}]}
+        spec.write_text(json.dumps(data))
+        args = ["steady", "--spec", str(spec)]
+        message = "qubit count differs from spec"
+    elif case == "observable":
+        obs.write_text("1.0 0.0 ZZZ\n")
+        args = ["measure", "--spec", str(spec), "--observable", str(obs)]
+        message = "doubled (even) register"
+    else:
+        target.write_text("1.0 0.0 ZZZZ\n")
+        args = ["pipeline", "--target", str(target), "--ansatz", str(ansatz),
+                "--observable", str(obs)]
+        message = "does not double"
+    assert cli.main(args + ["--out", str(tmp / "r")]) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error") and message in err[0]
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n", 1.7), ("n", True), ("n", float("inf")),
+    ("sites", 2.5), ("sites", True),
+    ("custom_n", 1.5), ("custom_locality", False),
+    ("family_n", True), ("family_locality", 2.5),
+])
+def test_count_that_is_not_an_integer_is_one_line_validation_error(
+    one_site_files, capsys, field, value
+):
+    tmp, target, ansatz, obs = one_site_files
+    if field == "n":
+        args = ["steady", "--spec", str(_spec_with(tmp, "n", value))]
+    else:
+        if field == "sites":
+            data = {"type": "xxz_chain", "sites": value}
+        elif field.startswith("custom"):
+            data = json.loads(ansatz.read_text())
+            data[field.split("_")[1]] = value
+        else:
+            data = {"type": "full_local_family", "n": 1, "locality": 2}
+            data[field.split("_")[1]] = value
+        ansatz.write_text(json.dumps(data))
+        args = ["pipeline", "--target", str(target), "--ansatz", str(ansatz),
+                "--observable", str(obs)]
+    assert cli.main(args + ["--out", str(tmp / "r")]) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error") and "integer" in err[0]
+
+
 @pytest.mark.parametrize("shots", [-5, 0, 1, 3, 4])
 def test_measure_and_pipeline_split_shots_alike(one_site_files, capsys, shots):
     # half the shots go to each of the Hadamard and Swap halves; below two

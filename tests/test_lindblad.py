@@ -12,8 +12,12 @@ from conftest import (
     RANK_FLOOR_SPEC,
     assert_factors_match_dense,
     assert_gather_matches_dense,
+    assert_ldl_checks_match_dense,
     assert_ldl_matches_dense,
     assert_matches_dense,
+    assert_null_basis_matches_oracle,
+    assert_st_norm_matches_dense,
+    block_null_space,
     bisect_all_halvings,
     exchange_conjugate,
     exchange_matrix,
@@ -32,6 +36,7 @@ from lgw.errors import (
     DimensionError,
     NormalizationError,
     ValidationError,
+    WorkbenchError,
 )
 from lgw.lindblad import (
     DensityMatrix,
@@ -58,7 +63,7 @@ from lgw.lindblad import (
     verify_ldl_properties,
 )
 from lgw.pauli import PauliSum, to_matrix
-from lgw.tolerances import DIAGONALIZABLE_COND_MAX
+from lgw.tolerances import DIAGONALIZABLE_COND_MAX, LDL_FORMS_TOL
 from lgw.xl import LiouvillianAnsatz
 
 # a jump at rate 5e-324 puts subnormal entries in blocks
@@ -350,9 +355,12 @@ def counting_factorizations(monkeypatch, liouv, names=("eig", "eigvals", "svd", 
     """Record the size of every ``np.linalg`` call in ``names``, split into
     ``svd`` (singular values alone) and ``svd_uv`` (with vectors); the
     full 4^n x 4^n matrix of a several-block ``liouv`` must never be
-    factored, and an SVD with vectors must be of a generator block."""
+    factored, and an SVD with vectors must be of a generator block or, for
+    the self-paired block, of its real form R."""
     calls = {name: [] for name in names} | {"svd_uv": []}
     full = (4 ** liouv.n, 4 ** liouv.n)
+    owned = list(liouv.block_matrices) + [data[0] for kind, data in liouv.forms
+                                          if kind == "real"]
 
     def counting(name):
         inner = getattr(np.linalg, name)
@@ -361,7 +369,7 @@ def counting_factorizations(monkeypatch, liouv, names=("eig", "eigvals", "svd", 
             assert len(liouv.blocks) == 1 or a.shape != full
             key = name
             if name == "svd" and kwargs.get("compute_uv", True):
-                assert any(blk is a for blk in liouv.block_matrices)
+                assert any(blk is a for blk in owned)
                 key = "svd_uv"
             calls[key].append(len(a))
             return inner(a, *args, **kwargs)
@@ -610,6 +618,64 @@ def test_zero_generator_null_basis_is_identity(n):
     assert len(liouv.blocks) == 4 ** n
     assert np.array_equal(liouv.null_basis, np.eye(4 ** n))
     assert liouv.null_dim == 4 ** n
+
+
+@pytest.mark.parametrize("sites", [2, 3, 4, 5, 6])
+def test_null_basis_matches_the_block_svd_oracle(sites):
+    liouv = xxz_liouvillian(sites, 20 + sites)
+    assert liouv.forms[0][0] == "real" and liouv.null_dim == 1
+    assert_null_basis_matches_oracle(liouv)
+
+
+def closed_xxz_spec(sites, seed):
+    """``xxz_spec`` with every rate 0: the steady space is H's commutant,
+    which holds |a><b| for eigenstates a, b of different magnetization."""
+    spec = xxz_spec(sites, seed)
+    return LmeSpec(sites, spec.hamiltonian,
+                   tuple(JumpChannel(0.0, ch.op) for ch in spec.jumps))
+
+
+def chiral_degenerate_spec():
+    """XX + YY with a Dzyaloshinskii-Moriya term 0.75 (XY - YX), whose
+    one-excitation eigenvectors (|01> + e^(i theta)|10>)/sqrt2 are complex,
+    and a field 1.25 (ZI + IZ) that puts |00> at the energy 2.5 of one of
+    them: the steady space of the closed system holds the coherence
+    between them, in a complex block of its exchange pair."""
+    ham = PauliSum.from_letter_terms([(1.0, "XX"), (1.0, "YY"), (0.75, "XY"),
+                                      (-0.75, "YX"), (1.25, "ZI"), (1.25, "IZ")])
+    return LmeSpec(2, ham, ())
+
+
+def one_site_dephasing_spec():
+    """Z dephasing of the first of two qubits: a diagonal generator whose
+    steady space holds the exchange-paired entries |0b><0b'|, b != b'."""
+    jump = JumpChannel(0.5, PauliSum.from_letter_terms([(1.0, "ZI")]))
+    return LmeSpec(2, PauliSum.zero(2), (jump,))
+
+
+@pytest.mark.parametrize("spec", [closed_xxz_spec(2, 21), closed_xxz_spec(3, 22),
+                                  chiral_degenerate_spec(), one_site_dephasing_spec()])
+def test_partner_blocks_take_their_null_vectors_from_their_own_block(spec):
+    liouv = build_liouvillian(spec)
+    holding = {kind for (kind, _), idx in zip(liouv.forms, liouv.blocks)
+               if np.abs(liouv.null_basis[idx]).any()}
+    assert "partner" in holding and liouv.null_dim > 1
+    assert_null_basis_matches_oracle(liouv)
+
+
+@pytest.mark.parametrize("name", ["xxz", "rank_floor", "zero", "rank_one"])
+def test_null_space_is_the_one_block_oracle_bit_for_bit(name):
+    mat = {
+        "xxz": lambda: xxz_liouvillian(2, 5).matrix,
+        "rank_floor": lambda: build_liouvillian(
+            lme_from_json_dict(RANK_FLOOR_SPEC)[0]).matrix,
+        "zero": lambda: np.zeros((4, 4), dtype=complex),
+        "rank_one": lambda: np.outer([1.0, 2.0, 0.5j], [0.5, -1.0, 1.0j]),
+    }[name]()
+    got = np.ascontiguousarray(_null_space(mat))
+    want = block_null_space([mat], [np.arange(len(mat))], 0.0)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_null_space_rank_rule_uses_global_sigma_max():
@@ -926,6 +992,62 @@ def test_st_commutator_random_specs():
         ldl, _ = build_ldl(spec)
         report = verify_ldl_properties(ldl, build_liouvillian(spec))
         assert report.st_commutator_norm < 1e-9
+
+
+@pytest.mark.parametrize("sites", [2, 3, 4, 5])
+def test_block_checks_match_their_dense_forms(sites):
+    spec = xxz_spec(sites, 50 + sites)
+    liouv = build_liouvillian(spec)
+    ldl, sym = build_ldl(spec, liouv)
+    assert_ldl_checks_match_dense(ldl, sym, liouv)
+
+
+def test_st_norm_where_the_exchange_maps_no_block_onto_a_block():
+    # on one qubit S swaps indices 1 and 2, so it maps the block {0, 1}
+    # onto {0, 2}, which straddles two blocks
+    rng = np.random.default_rng(54)
+    mats = [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for d in (2, 1, 1)]
+    op = SuperOp(1, [np.array([0, 1]), np.array([2]), np.array([3])], mats)
+    assert_st_norm_matches_dense(op, op)
+    assert verify_ldl_properties(op, op).st_commutator_norm > 1.0
+
+
+def _without(s, keep):
+    """The sum ``s`` with only the terms where ``keep`` is true."""
+    return PauliSum.from_letter_terms(
+        [(c, w) for c, w, k in zip(s.coeffs.tolist(), s.letters(), keep) if k])
+
+
+@pytest.mark.parametrize("case", ["stray_word", "dropped_word", "dropped_flip"])
+def test_pauli_cross_check_sees_every_entry(monkeypatch, case):
+    # a word whose flip leaves the blocks reaches only entries off them; a
+    # dropped word leaves its flip's sums off by its coefficient; a flip
+    # with every word dropped is compared only through the blocks
+    spec = xxz_spec(3, 55)
+    liouv = build_liouvillian(spec)
+    ldl, sym = build_ldl(spec, liouv)
+    base = lindblad._pauli_gap(ldl, sym)
+    flip = lindblad._signed_permutations(sym.word_keys, sym.n)[0]
+    big = int(np.argmax(np.abs(sym.coeffs)))
+    if case == "stray_word":
+        # X on the first ket qubit changes the ket magnetization alone
+        eps = 1e-6
+        bad = sym + PauliSum.from_letter_terms([(eps, "X" + "I" * (2 * spec.n - 1))])
+        label, cols = ldl._owner[0], np.arange(4 ** spec.n)
+        assert (label[cols ^ (4 ** spec.n // 2)] != label[cols]).all()
+    elif case == "dropped_word":
+        eps = abs(sym.coeffs[big])
+        bad = _without(sym, np.arange(len(sym)) != big)
+    else:
+        bad = _without(sym, flip != flip[big])
+        eps = np.abs(to_matrix(_without(sym, flip == flip[big]))).max()
+    gap = lindblad._pauli_gap(ldl, bad)
+    assert gap == np.abs(to_matrix(bad) - ldl.matrix).max()
+    assert gap >= eps - base and eps > LDL_FORMS_TOL
+    check = lindblad._pauli_gap
+    monkeypatch.setattr(lindblad, "_pauli_gap", lambda op, s: check(op, bad))
+    with pytest.raises(WorkbenchError, match="disagree"):
+        build_ldl(spec, liouv)
 
 
 def test_steady_space_equals_ldl_ground_space():

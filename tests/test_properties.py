@@ -21,12 +21,15 @@ from conftest import (
     RANK_FLOOR_SPEC,
     assert_factors_match_dense,
     assert_gather_matches_dense,
+    assert_ldl_checks_match_dense,
     assert_ldl_matches_dense,
     assert_matches_dense,
+    assert_null_basis_matches_oracle,
     block_null_space,
 )
-from lgw import cli
+from lgw import cli, lindblad
 from lgw.lindblad import lme_from_json_dict
+from lgw.tolerances import HERMITICITY_TOL, PSD_SLACK, TRACE_TOL
 
 # a degenerate steady space with an anti-Hermitian null vector, whose
 # Hermitian part is zero: steady_report.json once held NaN for it
@@ -163,10 +166,13 @@ def _check_front_door(spec, observable, out):
     assert set(report["spectral"]) == SPECTRAL_KEYS
     steady_dim = report["spectral"]["steady_dim"]
     assert steady_dim >= 1 and len(report["states"]) == steady_dim
+    # a report without warnings holds repaired density matrices
+    states = [] if report["warnings"] else np.array(report["states"]) @ [1.0, 1j]
 
     rc, err = _run(["verify", "--spec", spec_path, "--out", out])
     assert rc in (cli.EXIT_OK, cli.EXIT_FAILURE)
     errors = [line for line in err if line.startswith("error")]
+    verified = not errors
     if errors:
         assert rc == cli.EXIT_FAILURE and len(err) == 1
     else:
@@ -188,16 +194,27 @@ def _check_front_door(spec, observable, out):
         assert len(err) == 1 and err[0].startswith("error")
 
     # library-level: the edge gather against the dense one, trace
-    # preservation, and the block rank rule against one SVD of the whole
-    # generator
-    liouv = assert_gather_matches_dense(lme_from_json_dict(spec)[0])
+    # preservation, the block rank rule against one SVD of the whole
+    # generator, the null vectors against the per-block complex SVDs, the
+    # steady states as density matrices that L annihilates, and the
+    # block-native checks of verify against their dense forms
+    parsed = lme_from_json_dict(spec)[0]
+    liouv = assert_gather_matches_dense(parsed)
     dim = 2 ** spec["n"]
-    left = np.eye(dim).reshape(-1) @ liouv.matrix
-    assert np.abs(left).max() <= 1e-12 * max(1.0, np.abs(liouv.matrix).max())
+    lmat = liouv.matrix
+    left = np.eye(dim).reshape(-1) @ lmat
+    assert np.abs(left).max() <= 1e-12 * max(1.0, np.abs(lmat).max())
     assert steady_dim == liouv.null_dim == liouv.null_basis.shape[1]
-    whole = block_null_space([liouv.matrix], [np.arange(dim * dim)],
-                             liouv.rounding_floor)
+    whole = block_null_space([lmat], [np.arange(dim * dim)], liouv.rounding_floor)
     assert steady_dim == whole.shape[1]
+    assert_null_basis_matches_oracle(liouv)
+    for rho in states:
+        assert np.abs(rho - rho.conj().T).max() <= HERMITICITY_TOL
+        assert abs(np.trace(rho) - 1.0) <= TRACE_TOL
+        assert np.linalg.eigvalsh(rho).min() >= -PSD_SLACK
+        assert np.abs(lmat @ rho.ravel()).max() <= 1e-10 * np.abs(lmat).max()
+    if verified:
+        assert_ldl_checks_match_dense(*lindblad.build_ldl(parsed, liouv), liouv)
 
 
 @settings(max_examples=200, derandomize=True, deadline=None,
