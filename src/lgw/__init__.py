@@ -23,7 +23,6 @@ from .errors import (
     WorkbenchError,
 )
 from .pauli import (
-    PauliString,
     PauliSum,
     pauli_decompose,
     parse_pauli_sum,

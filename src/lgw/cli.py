@@ -28,7 +28,7 @@ from .errors import (
     ValidationError,
     WorkbenchError,
 )
-from .pauli import PauliString, PauliSum, parse_pauli_sum, pauli_decompose
+from .pauli import PauliSum, parse_pauli_sum, pauli_decompose
 from .tolerances import (
     HERMITICITY_TOL,
     LEFT_HALF_PLANE_SLACK,
@@ -295,10 +295,9 @@ def cmd_verify(args) -> int:
     reads = measure.word_reads(PauliSum.from_letter_terms(
         [(1.0, letters) for letters in table]), rho1)
     for (letters, entry), read in zip(table.items(), reads.tolist()):
-        word = PauliString.from_letters(letters)
         table_ok &= bool(
             np.abs(entry.b.to_matrix() - entry.matrix).max() <= SUBSTITUTE_TABLE_TOL
-            and (measure.substitute_pauli(word).max_coeff_diff(entry.b)
+            and (measure.substitute_pauli(letters).max_coeff_diff(entry.b)
                  <= SUBSTITUTE_TABLE_TOL)
             and abs(read - np.trace(entry.matrix @ two_copies))
             <= SUBSTITUTE_TABLE_TOL

@@ -24,7 +24,7 @@ from .lindblad import (
     read_input,
 )
 from .measure import exact_expectation, sampled_estimate
-from .pauli import PauliString, PauliSum, check_dense, pauli_decompose
+from .pauli import PauliSum, check_dense, pauli_decompose
 from .tolerances import UNITARY_TOL
 
 
@@ -187,15 +187,16 @@ def final_qubit_one_observable(n_system: int, depth: int) -> PauliSum:
     register, identity on the column register.  Cached, so every read of
     one circuit shape shares one sum and its ``observable_norms``."""
     q = clock_qubit_count(depth)
-    z_part = PauliSum.from_term(PauliString(n_system + q, x=0, z=1))
-    proj = PauliSum.identity(n_system + q)
+    n = n_system + q
+    z_on = [PauliSum.from_letter_terms([(1.0, "I" * k + "Z" + "I" * (n - 1 - k))])
+            for k in range(n)]
+    proj = PauliSum.identity(n)
     for j in range(q):
         bit = (depth >> (q - 1 - j)) & 1
         sign = -1.0 if bit else 1.0
-        zj = PauliSum.from_term(PauliString(n_system + q, x=0, z=1 << (n_system + j)))
-        proj = proj @ ((PauliSum.identity(n_system + q) + zj * sign) * 0.5)
-    row_op = z_part @ proj
-    return row_op.tensor(PauliSum.identity(n_system + q))
+        proj = proj @ ((PauliSum.identity(n) + z_on[n_system + j] * sign) * 0.5)
+    row_op = z_on[0] @ proj
+    return row_op.tensor(PauliSum.identity(n))
 
 
 def p1_from_steady(

@@ -422,6 +422,8 @@ def vectorize(rho: DensityMatrix) -> DmVector:
 # -- generator construction ---------------------------------------------
 
 
+# overflow is refused once the blocks are gathered, not warned about on the way
+@np.errstate(over="ignore", invalid="ignore")
 def build_liouvillian(spec: LmeSpec) -> SuperOp:
     """Generator of the master equation on vectorized matrices, by blocks.
 
@@ -436,6 +438,8 @@ def build_liouvillian(spec: LmeSpec) -> SuperOp:
     4^n x 4^n matrix is never formed.  Entries below ``SUBNORMAL_FLOOR``
     in magnitude are zero, and a generator within rounding of the scale
     of its terms (H = 0, every F proportional to I) is the zero generator.
+    A generator whose entries or scale overflow the float range is
+    refused.
     """
     check_dense(2 * spec.n)
     dim = 2 ** spec.n
@@ -451,6 +455,8 @@ def build_liouvillian(spec: LmeSpec) -> SuperOp:
     rows, cols = _term_edges(h, terms)
     coarse = _edge_components(rows, cols, dim * dim)
     mats = _gather_blocks(coarse, rows, cols, h, terms)
+    if not (np.isfinite(floor) and all(np.isfinite(mat).all() for mat in mats)):
+        raise ValidationError("generator overflows the float range")
     for mat in mats:
         mat[np.abs(mat) < SUBNORMAL_FLOOR] = 0.0
     if np.sqrt(sum(np.vdot(mat, mat).real for mat in mats)) <= floor:
@@ -579,8 +585,13 @@ def build_ldl(spec: LmeSpec, liouv: SuperOp | None = None) -> tuple[SuperOp, Pau
     """
     if liouv is None:
         liouv = build_liouvillian(spec)
-    ldl = SuperOp(spec.n, liouv.blocks,
-                  [mat.conj().T @ mat for mat in liouv.block_matrices])
+    with np.errstate(over="ignore", invalid="ignore"):
+        squares = [mat.conj().T @ mat for mat in liouv.block_matrices]
+        # the checks read M + M^dag, so that must stay in range too
+        finite = all(np.isfinite(mat + mat.conj().T).all() for mat in squares)
+    if not finite:
+        raise ValidationError("squared generator overflows the float range")
+    ldl = SuperOp(spec.n, liouv.blocks, squares)
     lp = pauli_liouvillian(
         spec.n, spec.hamiltonian, [(ch.rate, ch.op) for ch in spec.jumps]
     )

@@ -42,7 +42,6 @@ from .lindblad import DensityMatrix
 from .pauli import (
     _PRODUCT_BLOCK,
     LETTERS,
-    PauliString,
     PauliSum,
     _signed_permutations,
     check_dense,
@@ -135,36 +134,37 @@ def build_table() -> dict[str, TableEntry]:
 def _swap(half: int) -> PauliSum:
     """SWAP of copy 1 (qubits 0..half-1) with copy 2 (qubits half..): the
     product of (II + XX + YY + ZZ)/2 over the qubit pairs (k, half + k)."""
-    n = 2 * half
-    out = PauliSum.identity(n)
+    out = PauliSum.identity(2 * half)
     for k in range(half):
-        pair = 1 << k | 1 << (half + k)
-        out = out @ PauliSum(n, {
-            PauliString(n, x * pair, z * pair): 0.5
-            for x, z in ((0, 0), (1, 0), (1, 1), (0, 1))
-        })
+        out = out @ PauliSum.from_letter_terms(
+            (0.5, "I" * k + p + "I" * (half - 1) + p + "I" * (half - 1 - k))
+            for p in LETTERS)
     return out
 
 
-def substitute_pauli(word: PauliString) -> PauliSum:
-    """Unitary substitute of one doubled-register Pauli word.
+def substitute_pauli(letters: str) -> PauliSum:
+    """Unitary substitute of one doubled-register Pauli word, given by its
+    letters.
 
     For A = P (x) Q (row half P, column half Q) the substitute is
     B = (P (x) Q^T) SWAP = s A SWAP, with s = (-1)^(Y letters of Q).  Terms
-    are ordered by their copy-1 letters.
+    are ordered by their copy-1 letters.  An odd-width word has no halves:
+    it does not match any SWAP, so the product raises ``DimensionError``.
     """
-    row, col = word.halves()
+    half = len(letters) // 2
+    sign = -1 if letters[half:].count("Y") % 2 else 1
     # copy-1 letters are row's times one SWAP term's, so no two terms tie
-    return (PauliSum.from_term(word, col.transpose_sign) @ _swap(row.n)).sorted()
+    return (PauliSum.from_letter_terms([(sign, letters)]) @ _swap(half)).sorted()
 
 
 def substitute(a: PauliSum) -> PauliSum:
     """Substitute operator of a doubled-register sum, term by term in
     canonical term order."""
     out = PauliSum.zero(a.n)
-    for word, coeff in a.sorted_terms():
+    a = a.sorted()
+    for letters, coeff in zip(a.letters(), a.coeffs.tolist()):
         weight = coeff.real if abs(coeff.imag) <= PAULI_HERMITICITY_TOL else coeff
-        out = out + substitute_pauli(word) * weight
+        out = out + substitute_pauli(letters) * weight
     return out
 
 
@@ -249,14 +249,15 @@ def exact_expectation(a: PauliSum, rho: DensityMatrix) -> float:
     return float(num.real / purity)
 
 
-def bell_amplitude(rho: DensityMatrix, p: PauliString) -> complex:
-    """Amplitude of the normalized vectorization of rho on the Pauli-
-    indexed Bell vector: Tr(P rho) / (2^{n/2} sqrt(Tr rho^2))."""
-    if p.n != rho.n:
+def bell_amplitude(rho: DensityMatrix, letters: str) -> complex:
+    """Amplitude of the normalized vectorization of rho on the Bell vector
+    indexed by the Pauli word P with these letters:
+    Tr(P rho) / (2^{n/2} sqrt(Tr rho^2))."""
+    if len(letters) != rho.n:
         raise DimensionError("Pauli word and rho qubit counts differ")
     # Tr(P rho) = sum_c i^y (-1)^popcount(phase & c) rho[c, c ^ flip]
     (flip,), (phase,), (i_y,) = _signed_permutations(
-        PauliSum.from_term(p).word_keys, p.n)
+        PauliSum.from_letter_terms([(1.0, letters)]).word_keys, rho.n)
     cols = np.arange(2 ** rho.n)
     tr = i_y * np.dot(_signs(phase, cols), rho.matrix[cols, cols ^ flip])
     return complex(tr / (2 ** (rho.n / 2) * math.sqrt(rho.purity())))
@@ -415,14 +416,21 @@ ESTIMATE_CSV_HEADER = ",".join(f.name for f in fields(EstimateReport))
 def observable_norms(a: PauliSum) -> tuple[float, float, int]:
     """(spectral norm, Frobenius norm squared, term count) of a Hermitian
     observable; a one-word sum c*P has norm |c|, any other sum's spectral
-    norm is computed densely at desk scale.  Cached for the last sum read,
+    norm is computed densely at desk scale.  An observable whose
+    Frobenius norm overflows is refused.  Cached for the last sum read,
     keyed on its identity (sums are immutable), so repeated reads of one
     observable diagonalize it once."""
+    try:
+        frob_sq = a.frobenius_norm_sq()
+    except OverflowError:       # a |c| ** 2 past the float range
+        frob_sq = math.inf
+    if not math.isfinite(frob_sq):
+        raise ValidationError("observable norm overflows the float range")
     if len(a) == 1:
         (coeff,) = a.coeffs.tolist()
-        return abs(coeff), a.frobenius_norm_sq(), 1
+        return abs(coeff), frob_sq, 1
     evals = np.linalg.eigvalsh(to_matrix(a))
-    return float(np.abs(evals).max()), a.frobenius_norm_sq(), len(a)
+    return float(np.abs(evals).max()), frob_sq, len(a)
 
 
 def error_bounds(

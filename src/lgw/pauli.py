@@ -9,13 +9,12 @@ Conventions fixed once for the whole package:
   every arithmetic operation.
 
 A ``PauliSum`` stores letter keys (see below) and a coefficient array;
-``PauliString`` is the scalar view of one word, and the tests' reference.
+words enter and leave it as letter strings.
 """
 
 from __future__ import annotations
 
 import cmath
-from types import MappingProxyType
 
 import numpy as np
 
@@ -28,19 +27,7 @@ LETTERS = "IXYZ"
 # superoperator of a generator on half as many, or two copies of a register.
 DENSE_QUBIT_CAP = 12
 
-PAULI_MATRICES = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    "Y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    "Z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-}
-
-# (x bit, z bit) <-> letter, with Y = i*X*Z carrying its usual phase.
-_BITS_TO_LETTER = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
-_LETTER_TO_BITS = {v: k for k, v in _BITS_TO_LETTER.items()}
-
-_I4 = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
-_I4_ARRAY = np.array(_I4)
+_I4_ARRAY = np.array([1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j])
 
 # Matrix entries per block in to_matrix: keeps each of the block's
 # temporaries near 1-2 MB whatever the term count.
@@ -57,92 +44,32 @@ def check_dense(n: int) -> None:
 
 
 class PauliString:
-    """An n-qubit Pauli word, stored as X/Z bitmasks (bit k = qubit k)."""
+    """One n-qubit Pauli word by its letters: the key of ``PauliSum``'s dict
+    constructor, ``PauliSum(n, {PauliString.from_letters(w): c})``.  That
+    is the benchmark's input path (its random spec builder); the class goes
+    once that builder moves to ``PauliSum.from_letter_terms``."""
 
-    __slots__ = ("n", "x", "z")
+    __slots__ = ("letters",)
 
-    def __init__(self, n: int, x: int = 0, z: int = 0):
-        if n < 0:
-            raise ValidationError("qubit count must be non-negative")
-        self.n = n
-        self.x = x
-        self.z = z
+    def __init__(self, letters: str):
+        bad = letters.translate(_NOT_LETTERS)
+        if bad:
+            raise ValidationError(f"invalid Pauli letter {bad[0]!r}")
+        self.letters = letters
 
     @classmethod
     def from_letters(cls, letters: str) -> "PauliString":
-        x = z = 0
-        for k, letter in enumerate(letters):
-            if letter not in _LETTER_TO_BITS:
-                raise ValidationError(f"invalid Pauli letter {letter!r}")
-            xb, zb = _LETTER_TO_BITS[letter]
-            x |= xb << k
-            z |= zb << k
-        return cls(len(letters), x, z)
+        return cls(letters)
 
     @property
-    def letters(self) -> str:
-        return "".join(
-            _BITS_TO_LETTER[((self.x >> k) & 1, (self.z >> k) & 1)]
-            for k in range(self.n)
-        )
-
-    @property
-    def transpose_sign(self) -> int:
-        """Sign picked up under transposition (equally, conjugation)."""
-        return -1 if (self.x & self.z).bit_count() & 1 else 1
-
-    def mul(self, other: "PauliString") -> tuple[complex, "PauliString"]:
-        """Product self*other as (phase, word); phase is a fourth root of 1."""
-        if self.n != other.n:
-            raise DimensionError(
-                f"cannot multiply words on {self.n} and {other.n} qubits"
-            )
-        a, b, c, d = self.x, self.z, other.x, other.z
-        expo = (
-            (a & b).bit_count()
-            + (c & d).bit_count()
-            + 2 * (b & c).bit_count()
-            - ((a ^ c) & (b ^ d)).bit_count()
-        ) & 3
-        return _I4[expo], PauliString(self.n, a ^ c, b ^ d)
-
-    def tensor(self, other: "PauliString") -> "PauliString":
-        return PauliString(
-            self.n + other.n,
-            self.x | (other.x << self.n),
-            self.z | (other.z << self.n),
-        )
-
-    def halves(self) -> tuple["PauliString", "PauliString"]:
-        """(row, col) words of a doubled-register word; ``row.tensor(col)``
-        is the inverse."""
-        if self.n % 2:
-            raise DimensionError(f"an odd-width word (n={self.n}) has no halves")
-        half = self.n // 2
-        mask = (1 << half) - 1
-        return (PauliString(half, self.x & mask, self.z & mask),
-                PauliString(half, self.x >> half, self.z >> half))
-
-    def to_matrix(self) -> np.ndarray:
-        check_dense(self.n)
-        out = np.ones((1, 1), dtype=complex)
-        for letter in self.letters:
-            out = np.kron(out, PAULI_MATRICES[letter])
-        return out
+    def n(self) -> int:
+        return len(self.letters)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PauliString)
-            and self.n == other.n
-            and self.x == other.x
-            and self.z == other.z
-        )
+        return isinstance(other, PauliString) and self.letters == other.letters
 
     def __hash__(self) -> int:
-        return hash((self.n, self.x, self.z))
-
-    def __repr__(self) -> str:
-        return f"PauliString({self.letters!r})"
+        return hash(self.letters)
 
 
 # -- letter keys -------------------------------------------------------
@@ -207,9 +134,8 @@ class PauliSum:
 
     The terms are two arrays in term order, the order in which each
     distinct word first appeared: ``word_keys``, one letter-key row per
-    word ((terms, limbs) uint64), and ``coeffs``, complex.
-    ``PauliSum(n, {PauliString: c})`` converts a dict; iteration and
-    ``terms`` build ``PauliString`` views on demand.
+    word ((terms, limbs) uint64), and ``coeffs``, complex; ``letters()``
+    spells the words.  ``PauliSum(n, {PauliString: c})`` converts a dict.
 
     Instances are treated as immutable (and hash by identity); arithmetic
     returns new sums and prunes coefficients below ``COEFF_PRUNE_TOL``.
@@ -240,16 +166,19 @@ class PauliSum:
         return out
 
     @classmethod
+    def _from_words(cls, n: int, terms: dict[str, complex]) -> "PauliSum":
+        """The sum of distinct n-letter words ``{letters: coeff}``, in order,
+        each coefficient kept as given (signed zeros included), pruned."""
+        coeffs = np.array(list(terms.values()), dtype=complex)
+        return cls._from_keys(n, _letter_keys(list(terms), n), coeffs)
+
+    @classmethod
     def zero(cls, n: int) -> "PauliSum":
         return cls(n)
 
     @classmethod
     def identity(cls, n: int) -> "PauliSum":
         return cls._from_keys(n, _letter_keys(["I" * n], n), np.ones(1, complex))
-
-    @classmethod
-    def from_term(cls, word: PauliString, coeff: complex = 1.0) -> "PauliSum":
-        return cls(word.n, {word: coeff})
 
     @classmethod
     def from_letter_terms(cls, entries) -> "PauliSum":
@@ -278,15 +207,6 @@ class PauliSum:
     def __len__(self) -> int:
         return len(self.coeffs)
 
-    def __iter__(self):
-        return zip(map(PauliString.from_letters, self.letters()),
-                   self.coeffs.tolist())
-
-    @property
-    def terms(self):
-        """Read-only {PauliString: complex} view of the terms, in order."""
-        return MappingProxyType(dict(iter(self)))
-
     def letters(self) -> list[str]:
         """The letters of each term's word, in term order."""
         return key_letters(self.word_keys, self.n)
@@ -295,9 +215,6 @@ class PauliSum:
         """The same sum with its terms in letter order."""
         order = np.lexsort(self.word_keys.T[::-1])
         return PauliSum._from_keys(self.n, self.word_keys[order], self.coeffs[order])
-
-    def sorted_terms(self) -> list[tuple[PauliString, complex]]:
-        return list(self.sorted())
 
     def max_weight(self) -> int:
         weights = np.bitwise_count((self.word_keys | self.word_keys >> 1) & _LOW_BITS)
@@ -413,7 +330,9 @@ class PauliSum:
     def __repr__(self) -> str:
         if not len(self):
             return f"PauliSum(0 on {self.n} qubits)"
-        parts = [f"({c:.6g})*{w.letters}" for w, c in self.sorted_terms()[:6]]
+        s = self.sorted()
+        parts = [f"({c:.6g})*{letters}" for letters, c in zip(
+            key_letters(s.word_keys[:6], s.n), s.coeffs[:6].tolist())]
         if len(self) > 6:
             parts.append(f"... [{len(self)} terms]")
         return "PauliSum(" + " + ".join(parts) + ")"
@@ -510,8 +429,9 @@ def _products(keys, left, right, a, b):
     axis and their results broadcast against each other.
 
     Returns the product words' key rows and coefficients ca * cb * i^e,
-    where i^e is ``PauliString.mul``'s phase.  Each rounds as Python's
-    complex product does: ca * cb is ``_times``, and the phase is exact.
+    where i^e is the words' product phase (``tests/conftest.py`` keeps the
+    bitmask rule as its oracle).  Each rounds as Python's complex product
+    does: ca * cb is ``_times``, and the phase is exact.
     """
     # per term, on the low bit of each letter: its x ^ z bit, z bit and x
     # bit (z and x carry other bits above, which anti masks off)

@@ -32,7 +32,6 @@ from .errors import (
 )
 from .lindblad import exchange_symmetry_defect, pauli_liouvillian
 from .pauli import (
-    PauliString,
     PauliSum,
     dagger_products,
     key_letters,
@@ -107,18 +106,17 @@ def asymptotic_ratio(k: int) -> float:
 
 
 def site_channel(n: int, site: int, kind: str) -> PauliSum:
-    if kind == "X":
-        return PauliSum.from_term(PauliString(n, x=1 << site, z=0))
-    if kind == "Y":
-        return PauliSum.from_term(PauliString(n, x=1 << site, z=1 << site))
-    if kind == "Z":
-        return PauliSum.from_term(PauliString(n, x=0, z=1 << site))
-    x_word = PauliString(n, x=1 << site, z=0)
-    y_word = PauliString(n, x=1 << site, z=1 << site)
+    def on_site(letter: str) -> str:
+        return "I" * site + letter + "I" * (n - 1 - site)
+
+    # built from the words as given: the raising channel's -0.5j has real
+    # part -0.0, which from_letter_terms would sum to +0.0
+    if kind in ("X", "Y", "Z"):
+        return PauliSum._from_words(n, {on_site(kind): 1.0})
     if kind == "+":      # |1><0| = (X - iY)/2
-        return PauliSum(n, {x_word: 0.5, y_word: -0.5j})
+        return PauliSum._from_words(n, {on_site("X"): 0.5, on_site("Y"): -0.5j})
     if kind == "-":      # |0><1| = (X + iY)/2
-        return PauliSum(n, {x_word: 0.5, y_word: 0.5j})
+        return PauliSum._from_words(n, {on_site("X"): 0.5, on_site("Y"): 0.5j})
     raise ValidationError(f"unknown channel kind {kind!r}")
 
 
@@ -178,13 +176,10 @@ class LiouvillianAnsatz:
             raise ValidationError("chain needs at least 2 sites")
         ham = []
         for b in range(sites - 1):
-            zz = PauliString(sites, x=0, z=(1 << b) | (1 << (b + 1)))
-            xx = PauliString(sites, x=(1 << b) | (1 << (b + 1)), z=0)
-            yy = PauliString(
-                sites, x=(1 << b) | (1 << (b + 1)), z=(1 << b) | (1 << (b + 1))
-            )
-            ham.append(PauliSum.from_term(zz))
-            ham.append(PauliSum(sites, {xx: 1.0, yy: 1.0}))
+            left, right = "I" * b, "I" * (sites - 2 - b)
+            ham.append(PauliSum._from_words(sites, {left + "ZZ" + right: 1.0}))
+            ham.append(PauliSum._from_words(
+                sites, {left + "XX" + right: 1.0, left + "YY" + right: 1.0}))
         jumps = [site_channel(sites, i, "+") for i in range(sites)]
         return cls(sites, tuple(ham), tuple(jumps), locality=4)
 
@@ -201,13 +196,9 @@ class LiouvillianAnsatz:
         for l in range(1, half + 1):
             for sites in itertools.combinations(range(n), l):
                 for letters in itertools.product("XYZ", repeat=l):
-                    word = PauliString.from_letters(
-                        "".join(
-                            letters[sites.index(q)] if q in sites else "I"
-                            for q in range(n)
-                        )
-                    )
-                    ham.append(PauliSum.from_term(word))
+                    word = "".join(letters[sites.index(q)] if q in sites else "I"
+                                   for q in range(n))
+                    ham.append(PauliSum._from_words(n, {word: 1.0}))
                 for kinds in itertools.product("XYZ+-", repeat=l):
                     op = PauliSum.identity(n)
                     for site, kind in zip(sites, kinds):

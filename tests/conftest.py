@@ -20,10 +20,17 @@ from lgw.lindblad import (
     build_liouvillian,
     verify_ldl_properties,
 )
-from lgw.pauli import PauliString, PauliSum, pauli_decompose, to_matrix
+from lgw.pauli import PauliSum, check_dense, pauli_decompose, to_matrix
 from lgw.tolerances import COEFF_PRUNE_TOL, PAULI_HERMITICITY_TOL
 
 LETTERS = "IXYZ"
+
+PAULI_MATRICES = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+    "Y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
+    "Z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
+}
 
 
 def rand_rho(n, rng):
@@ -50,14 +57,99 @@ def vec_overlap(a, b):
 
 
 def rand_word(n, rng):
-    return PauliString.from_letters("".join(rng.choice(list(LETTERS), size=n)))
+    """The letters of a random n-qubit word."""
+    return "".join(rng.choice(list(LETTERS), size=n))
+
+
+def terms(s):
+    """The (letters, coeff) pairs of a ``PauliSum`` or a ``DictPauliSum``,
+    in term order."""
+    return list(zip(s.letters(), s.coeffs.tolist()))
+
+
+class MaskWord:
+    """An n-qubit Pauli word as X/Z bitmasks (bit k = qubit k), with Y =
+    i*X*Z carrying its usual phase: the scalar oracle of the letter keys.
+    ``mul`` is the bitmask product rule whose phase ``pauli._products``
+    batches; ``transpose_sign``, ``tensor`` and ``halves`` are the
+    word-level forms of ``PauliSum``'s involutions, tensor and half swap,
+    and ``to_matrix`` the Kronecker product of the letters' matrices."""
+
+    __slots__ = ("n", "x", "z")
+    _BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
+    _LETTER = {bits: letter for letter, bits in _BITS.items()}
+
+    def __init__(self, n, x=0, z=0):
+        self.n, self.x, self.z = n, x, z
+
+    @classmethod
+    def from_letters(cls, letters):
+        x = z = 0
+        for k, letter in enumerate(letters):
+            if letter not in cls._BITS:
+                raise ValidationError(f"invalid Pauli letter {letter!r}")
+            xb, zb = cls._BITS[letter]
+            x |= xb << k
+            z |= zb << k
+        return cls(len(letters), x, z)
+
+    @property
+    def letters(self):
+        return "".join(self._LETTER[((self.x >> k) & 1, (self.z >> k) & 1)]
+                       for k in range(self.n))
+
+    @property
+    def transpose_sign(self):
+        """Sign picked up under transposition (equally, conjugation)."""
+        return -1 if (self.x & self.z).bit_count() & 1 else 1
+
+    def mul(self, other):
+        """Product self*other as (phase, word); phase is a fourth root of 1."""
+        if self.n != other.n:
+            raise DimensionError(
+                f"cannot multiply words on {self.n} and {other.n} qubits")
+        a, b, c, d = self.x, self.z, other.x, other.z
+        expo = ((a & b).bit_count() + (c & d).bit_count() + 2 * (b & c).bit_count()
+                - ((a ^ c) & (b ^ d)).bit_count()) & 3
+        phase = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)[expo]
+        return phase, MaskWord(self.n, a ^ c, b ^ d)
+
+    def tensor(self, other):
+        return MaskWord(self.n + other.n, self.x | (other.x << self.n),
+                        self.z | (other.z << self.n))
+
+    def halves(self):
+        """(row, col) words of a doubled-register word; ``row.tensor(col)``
+        is the inverse."""
+        if self.n % 2:
+            raise DimensionError(f"an odd-width word (n={self.n}) has no halves")
+        half = self.n // 2
+        mask = (1 << half) - 1
+        return (MaskWord(half, self.x & mask, self.z & mask),
+                MaskWord(half, self.x >> half, self.z >> half))
+
+    def to_matrix(self):
+        check_dense(self.n)
+        out = np.ones((1, 1), dtype=complex)
+        for letter in self.letters:
+            out = np.kron(out, PAULI_MATRICES[letter])
+        return out
+
+    def __eq__(self, other):
+        return (isinstance(other, MaskWord)
+                and (self.n, self.x, self.z) == (other.n, other.x, other.z))
+
+    def __hash__(self):
+        return hash((self.n, self.x, self.z))
+
+    def __repr__(self):
+        return f"MaskWord({self.letters!r})"
 
 
 def _pauli_traces(rho):
-    """Tr(P rho) for every word with nonzero weight in rho."""
-    dec = pauli_decompose(rho.matrix)
+    """Tr(P rho) for every word with nonzero weight in rho, by letters."""
     scale = 2 ** rho.n
-    return {w: c * scale for w, c in dec.terms.items()}
+    return {w: c * scale for w, c in terms(pauli_decompose(rho.matrix))}
 
 
 def trace_with_two_copies(q, rho):
@@ -67,8 +159,8 @@ def trace_with_two_copies(q, rho):
         raise DimensionError("operator does not match two copies of rho")
     traces = _pauli_traces(rho)
     total = 0.0 + 0.0j
-    for word, coeff in q.terms.items():
-        w1, w2 = word.halves()
+    for word, coeff in terms(q):
+        w1, w2 = word[:rho.n], word[rho.n:]
         t1 = traces.get(w1)
         if t1 is None or t1 == 0:
             continue
@@ -79,13 +171,13 @@ def trace_with_two_copies(q, rho):
     return total
 
 
-def word_read_by_kron(word, rho):
+def word_read_by_kron(letters, rho):
     """Oracle for ``measure.word_reads``: Tr(P rho Q^T rho) of one
-    doubled-register word A = P (x) Q, from the Kronecker matrices of its
-    halves."""
-    if word.n != 2 * rho.n:
+    doubled-register word A = P (x) Q, given by its letters, from the
+    Kronecker matrices of its halves."""
+    if len(letters) != 2 * rho.n:
         raise DimensionError("operator does not match two copies of rho")
-    p, q = word.halves()
+    p, q = MaskWord.from_letters(letters).halves()
     r = rho.matrix
     return complex(np.sum((p.to_matrix() @ r) * (q.to_matrix().T @ r).T))
 
@@ -328,33 +420,31 @@ def exchange_conjugate(doubled):
     ``lindblad.exchange_symmetry_defect``."""
     if doubled.n % 2:
         raise DimensionError("doubled-register sum must have even qubit count")
-    terms = {}
-    for word, coeff in doubled.conj():
-        row, col = word.halves()
-        terms[col.tensor(row)] = coeff
-    return PauliSum(doubled.n, terms)
+    half = doubled.n // 2
+    swapped = {w[half:] + w[:half]: c for w, c in terms(doubled.conj())}
+    return PauliSum._from_words(doubled.n, swapped)
 
 
 def matmul_by_pairs(a, b):
-    """The product a @ b from one ``PauliString.mul`` per word pair, each
-    word summed in pair order from 0.0: the oracle of the batched
-    ``PauliSum.__matmul__``."""
+    """The product a @ b from one ``MaskWord.mul`` per word pair, each
+    word summed in pair order from 0.0, as a ``DictPauliSum``: the oracle
+    of the batched ``PauliSum.__matmul__``."""
     if a.n != b.n:
         raise DimensionError("qubit counts differ in product")
-    terms = {}
-    for wa, ca in a.terms.items():
-        for wb, cb in b.terms.items():
-            phase, word = wa.mul(wb)
-            terms[word] = terms.get(word, 0.0) + ca * cb * phase
-    return PauliSum(a.n, terms)
+    out = {}
+    for la, ca in terms(a):
+        for lb, cb in terms(b):
+            phase, word = MaskWord.from_letters(la).mul(MaskWord.from_letters(lb))
+            out[word] = out.get(word, 0.0) + ca * cb * phase
+    return DictPauliSum(a.n, out)
 
 
 class DictPauliSum:
     """The dict-backed Pauli sum that the array-backed ``PauliSum``
     replaced, kept whole as the oracle of every ``PauliSum`` operation:
-    ``terms`` maps each ``PauliString`` to its complex coefficient, in
-    order of first appearance, and every operation is the word-by-word
-    Python arithmetic the old class did."""
+    ``terms`` maps each ``MaskWord`` to its complex coefficient, in order
+    of first appearance, and every operation is the word-by-word Python
+    arithmetic the old class did."""
 
     def __init__(self, n, terms=None):
         self.n = n
@@ -375,7 +465,7 @@ class DictPauliSum:
         n = len(entries[0][1])
         terms = {}
         for coeff, letters in entries:
-            word = PauliString.from_letters(letters)
+            word = MaskWord.from_letters(letters)
             if word.n != n:
                 raise DimensionError("mixed word lengths in term list")
             terms[word] = terms.get(word, 0.0) + complex(coeff)
@@ -386,11 +476,16 @@ class DictPauliSum:
     def __len__(self):
         return len(self.terms)
 
-    def __iter__(self):
-        return iter(self.terms.items())
+    def letters(self):
+        return [w.letters for w in self.terms]
 
-    def sorted_terms(self):
-        return sorted_by_letters(self)
+    @property
+    def coeffs(self):
+        return np.array(list(self.terms.values()), dtype=complex)
+
+    def sorted(self):
+        return DictPauliSum(self.n, dict(
+            sorted(self.terms.items(), key=lambda kv: kv[0].letters)))
 
     def max_weight(self):
         return max(((w.x | w.z).bit_count() for w in self.terms), default=0)
@@ -415,7 +510,7 @@ class DictPauliSum:
     __rmul__ = __mul__
 
     def __matmul__(self, other):
-        return DictPauliSum(self.n, matmul_by_pairs(self, other).terms)
+        return matmul_by_pairs(self, other)
 
     def dagger(self):
         return DictPauliSum(self.n, {w: c.conjugate() for w, c in self.terms.items()})
@@ -454,7 +549,7 @@ class DictPauliSum:
     def __repr__(self):
         if not self.terms:
             return f"PauliSum(0 on {self.n} qubits)"
-        parts = [f"({c:.6g})*{w.letters}" for w, c in self.sorted_terms()[:6]]
+        parts = [f"({c:.6g})*{w}" for w, c in sorted_by_letters(self)[:6]]
         if len(self.terms) > 6:
             parts.append(f"... [{len(self.terms)} terms]")
         return "PauliSum(" + " + ".join(parts) + ")"
@@ -500,7 +595,7 @@ def exchange_symmetry_defect_by_words(doubled):
         raise DimensionError("doubled-register sum must have even qubit count")
     half = doubled.n // 2
     low = (1 << half) - 1
-    coeffs = {(w.x, w.z): c for w, c in doubled}
+    coeffs = {(w.x, w.z): c for w, c in doubled.terms.items()}
     defect = 0.0
     for (x, z), c in coeffs.items():
         partner = coeffs.get(
@@ -513,16 +608,16 @@ def exchange_symmetry_defect_by_words(doubled):
 
 
 def sorted_by_letters(s):
-    """The terms of a sum sorted by their letters: the oracle of
-    ``PauliSum.sorted_terms``."""
-    return sorted(s.terms.items(), key=lambda kv: kv[0].letters)
+    """The (letters, coeff) terms of a sum sorted by their letters: the
+    oracle of ``PauliSum.sorted``."""
+    return sorted(terms(s), key=lambda kv: kv[0])
 
 
 def format_by_letters(s):
     """``format_pauli_sum`` spelled word by word from the letters."""
     lines = [f"# {s.n} qubits, {len(s)} terms"]
     for word, coeff in sorted_by_letters(s):
-        lines.append(f"{coeff.real!r} {coeff.imag!r} {word.letters}")
+        lines.append(f"{coeff.real!r} {coeff.imag!r} {word}")
     return "\n".join(lines) + "\n"
 
 
@@ -531,14 +626,14 @@ def rand_hermitian_sum(n, rng, terms=4):
     out = {}
     while len(out) < min(terms, 4 ** n):
         out[rand_word(n, rng)] = rng.normal()
-    return PauliSum(n, out)
+    return PauliSum._from_words(n, out)
 
 
 def rand_pauli_sum(n, rng, terms=4):
     out = {}
     while len(out) < min(terms, 4 ** n):
         out[rand_word(n, rng)] = rng.normal() + 1j * rng.normal()
-    return PauliSum(n, out)
+    return PauliSum._from_words(n, out)
 
 
 def rand_jump_op(n, rng, terms=3):

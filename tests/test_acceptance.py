@@ -6,6 +6,7 @@ import time
 import numpy as np
 
 from conftest import (
+    MaskWord,
     exchange_matrix,
     maximally_mixed,
     rand_rho,
@@ -56,7 +57,7 @@ def sparse_hermitian(nq, rng, max_terms=24):
     want = int(rng.integers(2, max_terms + 1))
     while len(terms) < min(want, 4 ** nq):
         terms[rand_word(nq, rng)] = rng.normal()
-    return PauliSum(nq, terms)
+    return PauliSum._from_words(nq, terms)
 
 
 def rand_spec(n, rng, jumps=None):
@@ -68,7 +69,7 @@ def rand_spec(n, rng, jumps=None):
         while len(terms) < min(3, 4 ** n):
             terms[rand_word(n, rng)] = rng.normal() + 1j * rng.normal()
         channels.append(
-            JumpChannel(float(rng.uniform(0.2, 1.0)), PauliSum(n, terms))
+            JumpChannel(float(rng.uniform(0.2, 1.0)), PauliSum._from_words(n, terms))
         )
     return LmeSpec(n, ham, tuple(channels))
 
@@ -230,11 +231,11 @@ def test_criterion_06_runtime_bound_sufficiency():
         channels = []
         for _ in range(int(rng.integers(2, 6))):
             word = rand_word(n, rng)
-            if word.letters == "I" * n:
+            if word == "I" * n:
                 continue
             channels.append(
                 JumpChannel(
-                    float(rng.uniform(0.3, 1.0)), PauliSum.from_term(word)
+                    float(rng.uniform(0.3, 1.0)), PauliSum._from_words(n, {word: 1.0})
                 )
             )
         if len(channels) < 2:
@@ -392,7 +393,7 @@ def test_criterion_10_bell_amplitude_identity():
         rho = rand_rho(n, rng)
         word = rand_word(n, rng)
         got = bell_amplitude(rho, word)
-        bell_vec = word.to_matrix().reshape(-1) / 2 ** (n / 2)
+        bell_vec = MaskWord.from_letters(word).to_matrix().reshape(-1) / 2 ** (n / 2)
         expect = np.vdot(bell_vec, vectorize(rho).amplitudes)
         worst = max(worst, abs(got - expect))
     assert worst < 1e-11

@@ -190,6 +190,48 @@ def test_non_finite_inputs_are_validation_errors(
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, spec, message", [
+    # every input is finite, but F (x) F* and the scale overflow
+    ("steady", {"n": 1, "hamiltonian": [[1e308, 0.0, "X"]],
+                "jumps": [{"rate": 1e308, "op": [[1e308, 0.0, "X"]]}]},
+     "generator overflows"),
+    # the generator's entries (1e200) are finite, their squares are not
+    ("verify", {"n": 1, "hamiltonian": [[1e200, 0.0, "X"]],
+                "jumps": [{"rate": 1.0, "op": [[1.0, 0.0, "Z"]]}]},
+     "squared generator overflows"),
+    # the squares (about 1e308) are finite, M + M^dag is not
+    ("verify", {"n": 1, "hamiltonian": [[7e153, 0.0, "X"]],
+                "jumps": [{"rate": 1.0, "op": [[1.0, 0.0, "Z"]]}]},
+     "squared generator overflows"),
+])
+def test_overflowing_generators_are_validation_errors(
+    tmp_path, capsys, command, spec, message
+):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main([command, "--spec", str(path), "--out", str(tmp_path / "r")])
+    assert rc == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and message in err[0]
+
+
+@pytest.mark.parametrize("budget", [["--shots", "100"], ["--eps", "0.1"]])
+def test_overflowing_observable_norm_is_a_validation_error(tmp_path, capsys, budget):
+    # the coefficient is finite, its square is past the float range
+    spec = sigma_minus_spec_file(tmp_path)
+    obs = tmp_path / "obs.txt"
+    obs.write_text("1e300 0.0 ZI\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(["measure", "--spec", str(spec), "--observable", str(obs),
+                       "--out", str(tmp_path / "r")] + budget)
+    assert rc == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "observable norm overflows" in err[0]
+
+
 def _spec_with(tmp, field, value):
     path = sigma_minus_spec_file(tmp)
     data = json.loads(path.read_text())

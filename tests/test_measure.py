@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 
 from conftest import (
+    PAULI_MATRICES,
+    MaskWord,
     maximally_mixed,
     rand_pauli_sum,
     rand_rho,
     rand_word,
     sigma_minus_spec,
+    terms,
     trace_with_two_copies,
     word_read_by_kron,
 )
@@ -43,8 +46,6 @@ from lgw.measure import (
     swap_sample,
 )
 from lgw.pauli import (
-    PAULI_MATRICES,
-    PauliString,
     PauliSum,
     pauli_decompose,
     to_matrix,
@@ -165,18 +166,18 @@ def test_substitute_matrix_is_pure_reshuffle():
 
 
 def test_substitute_zz_matches_table_row():
-    q = substitute_pauli(PauliString.from_letters("ZZ"))
+    q = substitute_pauli("ZZ")
     assert q.max_coeff_diff(build_table()["ZZ"].b) < 1e-14
 
 
 def test_substitute_pauli_matches_dense_rule():
     # closed form s A SWAP against the index permutation, term by term
     rng = np.random.default_rng(73)
-    words = [PauliString.from_letters("".join(t))
-             for t in itertools.product("IXYZ", repeat=4)]
+    words = ["".join(t) for t in itertools.product("IXYZ", repeat=4)]
     words += [rand_word(n, rng) for n in (6, 8) for _ in range(50)]
     for word in words:
-        dense = pauli_decompose(substitute_matrix(word.to_matrix()))
+        matrix = MaskWord.from_letters(word).to_matrix()
+        dense = pauli_decompose(substitute_matrix(matrix))
         assert substitute_pauli(word).max_coeff_diff(dense) <= 1e-14, word
 
 
@@ -187,8 +188,8 @@ def test_substitute_pauli_digest():
     for n in (2, 4, 6):
         for letters in itertools.product("IXYZ", repeat=n):
             word = "".join(letters)
-            for term, c in substitute_pauli(PauliString.from_letters(word)):
-                lines.append(f"{word} {term.letters} {c.real!r} {c.imag!r}")
+            for term, c in terms(substitute_pauli(word)):
+                lines.append(f"{word} {term} {c.real!r} {c.imag!r}")
     assert len(lines) == 266_304
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
         "6c04fd2b4ef104920fd8793b224a1b11c91d29c73d65b95389ad36897f8b1856"
@@ -208,12 +209,12 @@ def test_substitute_identity_gives_purity():
 def test_substitute_term_count_and_unitarity():
     rng = np.random.default_rng(43)
     for n in (1, 2, 3):
-        words = set()
+        words = set()       # of bitmask words, whose hashes fix the seeded order
         while len(words) < 3:
-            words.add(rand_word(2 * n, rng))
-        a = PauliSum(2 * n, {w: rng.normal() for w in words})
+            words.add(MaskWord.from_letters(rand_word(2 * n, rng)))
+        a = PauliSum._from_words(2 * n, {w.letters: rng.normal() for w in words})
         total = PauliSum.zero(2 * n)
-        for word, coeff in a.sorted_terms():
+        for word, coeff in terms(a.sorted()):
             q = substitute_pauli(word)
             assert (q.dagger() @ q).max_coeff_diff(PauliSum.identity(2 * n)) < 1e-10
             total = total + q * coeff.real
@@ -229,17 +230,17 @@ def test_unitarity_defect_of_substitutes_is_zero():
 
 def test_substitute_rejects_odd_register():
     with pytest.raises(DimensionError):
-        substitute_pauli(PauliString.from_letters("XYZ"))
+        substitute_pauli("XYZ")
 
 
 def test_eq5_identity_random_two_term():
     rng = np.random.default_rng(44)
     for _ in range(10):
         n = 2
-        words = set()
+        words = set()       # of bitmask words, whose hashes fix the seeded order
         while len(words) < 2:
-            words.add(rand_word(2 * n, rng))
-        a = PauliSum(2 * n, {w: rng.normal() for w in words})
+            words.add(MaskWord.from_letters(rand_word(2 * n, rng)))
+        a = PauliSum._from_words(2 * n, {w.letters: rng.normal() for w in words})
         rho = rand_rho(n, rng)
         lhs = exact_expectation(a, rho)
         rhs = direct_vectorized_expectation(a, rho)
@@ -286,7 +287,7 @@ def test_imaginary_parts_cancel_for_hermitian_observables():
 
 
 def word_sum(letters, coeff=1.0):
-    return PauliSum.from_term(PauliString.from_letters(letters), coeff)
+    return PauliSum._from_words(len(letters), {letters: coeff})
 
 
 def test_hadamard_sample_exact_cases():
@@ -343,12 +344,12 @@ def test_word_read_matches_substitute_oracle():
         rho = rand_rho(n, rng)
         word = rand_word(2 * n, rng)
         oracle = trace_with_two_copies(substitute_pauli(word), rho)
-        (read,) = measure.word_reads(PauliSum.from_term(word), rho)
+        (read,) = measure.word_reads(word_sum(word), rho)
         assert abs(read - oracle) <= 1e-15, word
         p = min(max((1.0 + oracle.real) / 2.0, 0.0), 1.0)
         drawn = np.random.Generator(np.random.Philox(key=[i, 7])).binomial(100, p)
         want = (2.0 * drawn - 100) / 100
-        assert hadamard_sample(PauliSum.from_term(word), rho, 100, i, 7) == want
+        assert hadamard_sample(word_sum(word), rho, 100, i, 7) == want
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2 ** 63])
@@ -367,7 +368,7 @@ def _gather_sums(n, rng):
     """Doubled-register sums on 2n qubits for the gather oracle: random
     words with complex weights, words that share flips and phases, one
     word, and for n <= 2 the dense expansion of a random matrix."""
-    base = list(rand_word(2 * n, rng).letters)
+    base = list(rand_word(2 * n, rng))
     shared = []
     # every letter on the first and the last qubit: 4 flips x 4 phases
     for first, last in itertools.product("IXYZ", repeat=2):
@@ -398,7 +399,7 @@ def test_word_reads_match_the_kronecker_oracle():
             for a in _gather_sums(n, rng):
                 reads = measure.word_reads(a, rho)
                 assert reads.shape == (len(a),)
-                for (word, _), read in zip(a, reads.tolist()):
+                for word, read in zip(a.letters(), reads.tolist()):
                     oracle = word_read_by_kron(word, rho)
                     assert abs(read - oracle) <= 1e-15 * scale, (n, word)
 
@@ -427,7 +428,7 @@ def test_exact_expectation_at_the_cap_stays_small():
     rng = np.random.default_rng(78)
     rho = rand_rho(6, rng)
     a = PauliSum.from_letter_terms([(1.0, "XYZIXYZZYXIX")])
-    want = word_read_by_kron(PauliString.from_letters("XYZIXYZZYXIX"), rho)
+    want = word_read_by_kron("XYZIXYZZYXIX", rho)
     tracemalloc.start()
     try:
         got = exact_expectation(a, rho)
@@ -449,7 +450,7 @@ def test_reads_build_no_dense_observable(monkeypatch):
     one = PauliSum.from_letter_terms([(1j, "XYZI")])
     plan = MeasurementPlan.build(PauliSum.from_letter_terms([(-1.0, "XYZI")]),
                                  100, 100, seed=4)
-    p = PauliString.from_letters("YX")
+    p = "YX"
     want = (exact_expectation(a, rho), hadamard_sample(one, rho, 100, 5),
             estimate_expectation(plan, rho, 0.5), bell_amplitude(rho, p))
 
@@ -458,7 +459,6 @@ def test_reads_build_no_dense_observable(monkeypatch):
 
     monkeypatch.setattr(measure, "to_matrix", refuse)
     monkeypatch.setattr(pauli, "to_matrix", refuse)
-    monkeypatch.setattr(PauliString, "to_matrix", refuse)
     got = (exact_expectation(a, rho), hadamard_sample(one, rho, 100, 5),
            estimate_expectation(plan, rho, 0.5), bell_amplitude(rho, p))
     assert got == want
@@ -570,10 +570,10 @@ def test_estimator_calibration_bias_and_variance():
 
 def test_half_shots_eps_path_gives_one_hadamard_shot_per_term():
     rng = np.random.default_rng(13)
-    for terms in (1, 2, 5, 16):
+    for count in (1, 2, 5, 16):
         for weight in (1e-3, 0.1, 1.0):
-            words = {rand_word(2, rng): weight for _ in range(terms)}
-            a = PauliSum(2, words)
+            words = {rand_word(2, rng): weight for _ in range(count)}
+            a = PauliSum._from_words(2, words)
             for gamma, eps in ((1.0, 1.0), (0.5, 0.5), (1.0, 0.1)):
                 half = half_shots(a, gamma, None, eps)
                 assert half == max(shot_budget(a, gamma, eps)[1], len(a))
@@ -586,13 +586,13 @@ def test_shot_budget_examples():
     assert shot_budget(a, 1.0, 0.1) == (400, 200, 200)
     assert shot_budget(a, 0.5, 0.1) == (1600, 800, 800)
     rng = np.random.default_rng(51)
-    words = set()
+    words = set()       # of bitmask words, whose hashes fix the seeded order
     while len(words) < 3:
-        words.add(rand_word(4, rng))
-    obs = PauliSum(4, {w: rng.normal() for w in words})
+        words.add(MaskWord.from_letters(rand_word(4, rng)))
+    obs = PauliSum._from_words(4, {w.letters: rng.normal() for w in words})
     n, n_h, n_s = shot_budget(obs, 0.7, 0.2)
     norm2 = np.abs(np.linalg.eigvalsh(to_matrix(obs))).max()
-    weight_sq = sum(abs(c) ** 2 for _, c in obs)
+    weight_sq = sum(abs(c) ** 2 for c in obs.coeffs.tolist())
     expect = 2.0 / (0.7 ** 2 * 0.2 ** 2) * (norm2 ** 2 + 3 * weight_sq)
     assert n >= expect and n - expect <= 2
     assert n_h == n_s == n // 2
@@ -603,7 +603,7 @@ def test_shot_budget_examples():
 def test_one_word_norm_is_coefficient_modulus(monkeypatch):
     rng = np.random.default_rng(52)
     words = [rand_word(n, rng) for n in range(1, 7) for _ in range(4)]
-    cases = [PauliSum(w.n, {w: c}) for w in words for c in (1.0, 0.37, -2.5)]
+    cases = [word_sum(w, c) for w in words for c in (1.0, 0.37, -2.5)]
     dense = [float(np.abs(np.linalg.eigvalsh(to_matrix(a))).max()) for a in cases]
 
     def no_eigensolve(*args, **kwargs):
@@ -616,8 +616,8 @@ def test_one_word_norm_is_coefficient_modulus(monkeypatch):
 
 def test_bell_amplitude_examples():
     rho = maximally_mixed(1)
-    assert abs(bell_amplitude(rho, PauliString.from_letters("I")) - 1.0) < 1e-12
-    assert abs(bell_amplitude(rho, PauliString.from_letters("Z"))) < 1e-12
+    assert abs(bell_amplitude(rho, "I") - 1.0) < 1e-12
+    assert abs(bell_amplitude(rho, "Z")) < 1e-12
 
 
 def test_bell_amplitude_dual_path():
@@ -627,7 +627,7 @@ def test_bell_amplitude_dual_path():
         p = rand_word(n, rng)
         got = bell_amplitude(rho, p)
         # direct inner product against the Pauli-indexed Bell vector
-        bell_vec = p.to_matrix().reshape(-1) / 2 ** (n / 2)
+        bell_vec = MaskWord.from_letters(p).to_matrix().reshape(-1) / 2 ** (n / 2)
         v = vectorize(rho)
         expect = np.vdot(bell_vec, v.amplitudes)
         assert abs(got - expect) < 1e-11

@@ -1,7 +1,7 @@
 """Every ``PauliSum`` operation against the dict-backed oracle, bit for bit.
 
 ``PauliSum`` stores letter keys and a coefficient array;
-``conftest.DictPauliSum`` is the dict of ``PauliString``s it replaced.
+``conftest.DictPauliSum`` is the dict of bitmask words it replaced.
 Each operation must give the same words in the same term order with the
 same float bits (``float.hex`` of each part, so signed zeros count), on
 widths either side of the 32-qubit key limb.
@@ -16,14 +16,17 @@ from hypothesis import strategies as st
 
 from conftest import (
     DictPauliSum,
+    MaskWord,
     exchange_symmetry_defect_by_words,
     format_by_letters,
     parse_by_words,
     sigma_minus_spec,
+    sorted_by_letters,
+    terms,
 )
-from lgw import cli
+from lgw import cli, encodings, measure
 from lgw.errors import DimensionError, ValidationError
-from lgw.lindblad import exchange_symmetry_defect, lme_to_json_dict
+from lgw.lindblad import DensityMatrix, exchange_symmetry_defect, lme_to_json_dict
 from lgw.pauli import (
     PauliString,
     PauliSum,
@@ -32,7 +35,7 @@ from lgw.pauli import (
     pauli_decompose,
     to_matrix,
 )
-from lgw.xl import LiouvillianAnsatz, build_mq_system
+from lgw.xl import LiouvillianAnsatz, build_mq_system, site_channel
 
 WIDTHS = (0, 1, 31, 32, 33, 64, 66)
 # parts that are exactly +-0.0, prune-sized, and ordinary
@@ -46,8 +49,8 @@ SCALARS = st.one_of(COEFFS, st.sampled_from([2, -1, 0, 0.5, -1j, 1e-15]))
 
 
 def bits(s):
-    """Words, term order and float bits of a sum or of its terms."""
-    return [(w.letters, c.real.hex(), c.imag.hex()) for w, c in s]
+    """Words, term order and float bits of a sum."""
+    return [(w, c.real.hex(), c.imag.hex()) for w, c in terms(s)]
 
 
 @st.composite
@@ -61,13 +64,12 @@ def entries(draw, n, max_size=6):
 
 @st.composite
 def pairs(draw, n):
-    """Two sums on n qubits, as dicts, where the second repeats some of
-    the first's words with a coefficient that cancels exactly, to below
-    the prune tolerance or to just above it, or does not cancel."""
-    first = {PauliString.from_letters(letters): c
-             for c, letters in draw(entries(n))}
-    second = {PauliString.from_letters(letters): c
-              for c, letters in draw(entries(n))}
+    """Two sums on n qubits, as {letters: coeff} dicts, where the second
+    repeats some of the first's words with a coefficient that cancels
+    exactly, to below the prune tolerance or to just above it, or does not
+    cancel."""
+    first = {letters: c for c, letters in draw(entries(n))}
+    second = {letters: c for c, letters in draw(entries(n))}
     for word, c in first.items():
         gap = draw(st.sampled_from([None, 0.0, 2.0 ** -50, 2.0 ** -45]))
         if gap is not None:
@@ -90,13 +92,22 @@ def outcome(fn, *args):
     pairs(n), st.sampled_from(WIDTHS).flatmap(pairs), SCALARS, entries(n))))
 def test_every_operation_matches_the_dict_oracle(case):
     (first, second), (third, _), scalar, letter_terms = case
-    n = next(iter(first)).n
-    a, b, c = PauliSum(n, first), PauliSum(n, second), PauliSum(
-        next(iter(third)).n, third)
-    da, db, dc = DictPauliSum(n, first), DictPauliSum(n, second), DictPauliSum(
-        c.n, third)
+    n = len(next(iter(first)))
+
+    def both(words):
+        # the benchmark's dict constructor and the oracle's, on one dict
+        width = len(next(iter(words)))
+        return (PauliSum(width, {PauliString.from_letters(w): c
+                                 for w, c in words.items()}),
+                DictPauliSum(width, {MaskWord.from_letters(w): c
+                                     for w, c in words.items()}))
+
+    (a, da), (b, db), (c, dc) = both(first), both(second), both(third)
     assert bits(a) == bits(da) and bits(b) == bits(db) and bits(c) == bits(dc)
-    assert len(a) == len(da) and dict(a.terms) == da.terms
+    assert len(a) == len(da) and dict(terms(a)) == dict(terms(da))
+    # the exact word path that the builders take keeps them too
+    assert bits(PauliSum._from_words(n, first)) == bits(DictPauliSum(
+        n, {MaskWord.from_letters(w): complex(z) for w, z in first.items()}))
     for got, want in [
         (a + b, da + db), (a - b, da - db), (b + a, db + da), (-a, -da),
         (a * scalar, da * scalar), (scalar * a, scalar * da),
@@ -107,8 +118,8 @@ def test_every_operation_matches_the_dict_oracle(case):
     ]:
         assert bits(got) == bits(want)
         assert got.n == want.n
-    assert a.sorted_terms() == da.sorted_terms()
-    assert bits(a.sorted_terms()) == bits(da.sorted_terms())
+    assert terms(a.sorted()) == sorted_by_letters(da)
+    assert bits(a.sorted()) == bits(da.sorted())
     assert format_pauli_sum(a) == format_by_letters(da)
     assert repr(a) == repr(da)
     for query in ("is_hermitian", "hermiticity_defect", "frobenius_norm_sq",
@@ -120,7 +131,7 @@ def test_every_operation_matches_the_dict_oracle(case):
         exchange_symmetry_defect_by_words, da)
     if n <= 1:
         want = np.zeros((2 ** n, 2 ** n), dtype=complex)
-        for word, coeff in da:
+        for word, coeff in da.terms.items():
             want += coeff * word.to_matrix()
         assert np.array_equal(to_matrix(a), want)
     # repeated words are summed in entry order from +0.0
@@ -183,8 +194,9 @@ def test_bad_pauli_text_keeps_its_message_and_exit_code(tmp_path, capsys, text):
 
 
 def test_array_paths_build_no_pauli_string(monkeypatch):
-    # the design: sums move as key and coefficient arrays, and a
-    # PauliString is built only as a view (iteration, ``terms``)
+    # the design: sums move as key and coefficient arrays, words enter and
+    # leave as letters, and a PauliString is built only by a caller of the
+    # dict constructor
     ansatz = LiouvillianAnsatz.xxz_chain(9)
     rng = np.random.default_rng(29)
     h = rng.uniform(0.2, 1.0, ansatz.num_h)
@@ -200,17 +212,27 @@ def test_array_paths_build_no_pauli_string(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(PauliString, "__init__", counted)
+    rho = DensityMatrix(2, np.eye(4, dtype=complex) / 4)
     runs = {
         "pauli_decompose": lambda: pauli_decompose(matrix),
         "parse_pauli_sum": lambda: parse_pauli_sum(text),
         "format_pauli_sum": lambda: format_pauli_sum(target),
+        "repr": lambda: repr(target),
         "forward_ldl": lambda: ansatz.forward_ldl(h, lam),
         "build_mq_system": lambda: build_mq_system(ansatz, target),
         "max_coeff_diff": lambda: target.max_coeff_diff(parse_pauli_sum(text)),
+        "xxz_chain": lambda: LiouvillianAnsatz.xxz_chain(5),
+        "full_local_family": lambda: LiouvillianAnsatz.full_local_family(2, 4),
+        "site_channel": lambda: [site_channel(3, 1, kind) for kind in "XYZ+-"],
+        "final_qubit_one_observable":
+            lambda: encodings.final_qubit_one_observable.__wrapped__(2, 3),
+        "substitute": lambda: measure.substitute(
+            PauliSum.from_letter_terms([(1.0, "XYZY"), (0.5, "ZZII")])),
+        "bell_amplitude": lambda: measure.bell_amplitude(rho, "XY"),
     }
     for name, run in runs.items():
         run()
         assert built == [], name
-    # the views do build them, so the count is live
-    list(target)
-    assert len(built) == len(target)
+    # the dict constructor's callers build them, so the count is live
+    PauliSum(1, {PauliString.from_letters("X"): 1.0})
+    assert len(built) == 1

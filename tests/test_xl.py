@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import matmul_by_pairs
+from conftest import matmul_by_pairs, terms
 from lgw.errors import (
     BudgetExceededError,
     CapacityError,
@@ -15,7 +15,7 @@ from lgw.errors import (
     ValidationError,
 )
 from lgw.lindblad import JumpChannel, LmeSpec, build_ldl, pauli_liouvillian
-from lgw.pauli import PauliString, PauliSum
+from lgw.pauli import PauliSum
 from lgw.xl import (
     COEFF_PRUNE_TOL,
     EXPANSION_IMAG_TOL,
@@ -213,13 +213,13 @@ def build_mq_system_by_pairs(ansatz, target, include_ground_energy=True):
         product = matmul_by_pairs(daggers[j], parts[k])
         if j != k:
             product = product + matmul_by_pairs(daggers[k], parts[j])
-        for word, coeff in product:
+        for word, coeff in terms(product):
             polys.setdefault(word, {})[(j, k)] = coeff
 
     equations = []
-    target_terms = target.terms
-    for word in sorted(set(polys) | set(target_terms), key=lambda w: w.letters):
-        if not include_ground_energy and word.x == 0 and word.z == 0:
+    target_terms = dict(terms(target))
+    for word in sorted(set(polys) | set(target_terms)):
+        if not include_ground_energy and set(word) <= {"I"}:
             continue
         poly = polys.get(word, {})
         assert max((abs(c.imag) for c in poly.values()), default=0.0) <= EXPANSION_IMAG_TOL
@@ -272,14 +272,13 @@ def test_batched_pair_products_across_mask_limbs():
     n = 33
 
     def word(letters):
-        return PauliString.from_letters(
-            "".join(letters.get(q, "I") for q in range(n))
-        )
+        return "".join(letters.get(q, "I") for q in range(n))
 
     ham = (
-        PauliSum.from_term(word({0: "Z", 32: "Z"})),
-        PauliSum(n, {word({31: "X", 32: "X"}): 1.0, word({31: "Y", 32: "Y"}): 1.0}),
-        PauliSum.from_term(word({31: "Y"})),
+        PauliSum._from_words(n, {word({0: "Z", 32: "Z"}): 1.0}),
+        PauliSum._from_words(n, {word({31: "X", 32: "X"}): 1.0,
+                                 word({31: "Y", 32: "Y"}): 1.0}),
+        PauliSum._from_words(n, {word({31: "Y"}): 1.0}),
     )
     jumps = (site_channel(n, 0, "+"), site_channel(n, 31, "-"), site_channel(n, 32, "Z"))
     ansatz = LiouvillianAnsatz(n, ham, jumps, locality=4)

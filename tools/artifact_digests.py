@@ -150,8 +150,8 @@ def xxz_target(spec):
 
     lme, _ = lindblad.lme_from_json_dict(spec)
     ansatz = xl.LiouvillianAnsatz.xxz_chain(lme.n)
-    h = [lme.hamiltonian.terms[op.sorted_terms()[0][0]].real
-         for op in ansatz.hamiltonian_ops]
+    weights = dict(zip(lme.hamiltonian.letters(), lme.hamiltonian.coeffs.tolist()))
+    h = [weights[op.sorted().letters()[0]].real for op in ansatz.hamiltonian_ops]
     rates = [ch.rate for ch in lme.jumps]
     return pauli.format_pauli_sum(ansatz.forward_ldl(h, rates))
 
